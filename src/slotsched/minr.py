@@ -457,8 +457,21 @@ def log2_factor(dim: int) -> Fraction | float:
 
 
 def draw_count(c: Fraction, m_int: int, dim: int) -> int:
-    """Phase-1 hosts: ceil(c * m_int * max(1, log2 d))."""
-    return math.ceil(c * m_int * log2_factor(dim))
+    """Phase-1 hosts: ceil(c * m_int * max(1, log2 d)), in integers.
+
+    With c * m_int = P/Q and b = max(d, 2), this is the smallest k with
+    2^(k*Q) >= b^P, i.e. k*Q >= log2(b^P).  That logarithm is the bit
+    length of b^P less one when b^P is a power of two; otherwise it lies
+    strictly inside (bit length - 1, bit length), and k*Q, an integer, is
+    at least it exactly when it is at least the bit length."""
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    product = Fraction(c) * m_int
+    if product < 0:
+        raise ValueError(f"c * m_int must be non-negative, got {product}")
+    power = max(dim, 2) ** product.numerator
+    bits = power.bit_length() - (power & (power - 1) == 0)
+    return -(-bits // product.denominator)
 
 
 def window_condition_threshold(

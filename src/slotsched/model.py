@@ -142,6 +142,7 @@ class Instance:
     jobs: tuple[Job, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "jobs", tuple(self.jobs))
         if self.hosts < 1:
             raise ValueError("hosts must be >= 1")
         if self.dim < 1:

@@ -1,12 +1,16 @@
 """Exact rational linear programming with duals.
 
-Dense two-phase simplex over exact rationals, with per-variable bounds
-handled natively (nonbasic variables sit at either bound, so box constraints
-never become rows).  Pivoting uses Bland's smallest-index rule throughout,
-which trades speed for guaranteed termination; at the problem sizes this
-package deals in, that trade is free.  Internally the tableau runs on
-gmpy2.mpq (measured ~8x faster than fractions.Fraction); the public API
-speaks Fraction only.
+Two-phase bounded-variable simplex over exact rationals: nonbasic variables
+sit at either bound, so box constraints never become rows.  Pivoting uses
+Bland's smallest-index rule throughout, which trades speed for guaranteed
+termination; at the problem sizes this package deals in, that trade is free.
+
+The tableau is fraction-free.  Each row is a list of Python ints over one
+positive denominator of its own, so a pivot is integer multiply-subtract on
+the rows that have a nonzero in the entering column, followed by one gcd per
+such row; the other rows are not touched.  Basic values, bounds and costs,
+O(rows) work per pivot, are `fractions.Fraction`, as is everything the
+public API returns.  The package needs nothing outside the standard library.
 
 Duals are Lagrange multipliers for the rows as written: for a maximization,
 a binding <= row has a nonnegative dual and a binding >= row a nonpositive
@@ -17,16 +21,12 @@ makes column generation affordable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _q
-
-_ZERO = _q(0)
-_ONE = _q(1)
+_q = Fraction  # rational type of values, bounds, costs and results; bench/run.py reports it
+_ZERO = Fraction(0)
 
 LOWER, UPPER, BASIC, FIXED = 0, 1, 2, 3
 
@@ -35,15 +35,6 @@ _REL = ("<=", ">=", "==")
 
 class CyclingLimitError(RuntimeError):
     """Pivot count exceeded the safety limit (should never happen with Bland)."""
-
-
-def _to_q(value) -> "_q":
-    f = Fraction(value)
-    return _q(f.numerator, f.denominator)
-
-
-def _to_fraction(value) -> Fraction:
-    return Fraction(int(value.numerator), int(value.denominator))
 
 
 @dataclass(frozen=True)
@@ -149,8 +140,40 @@ def solve(lp: LinearProgram, warm: bool = True, pivot_limit: int = 1_000_000) ->
     return LpSolution("optimal", tuple(x), tuple(duals), obj)
 
 
+def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
+    """The rational row row/den (den > 0) with gcd(den, *row) == 1."""
+    if den == 1:
+        return row, 1
+    g = math.gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [a // g for a in row], den // g
+
+
+def _eliminate(
+    row: list[int], den: int, nonzeros: list[tuple[int, int]], pden: int, enter: int
+) -> tuple[list[int], int]:
+    """Clear row/den's entering column with the pivot row prow/pden, given
+    by its nonzeros (j, prow[j]) and with entering entry 1: for f =
+    row[enter], (row*pden - f*prow) / (den*pden) in lowest terms.  When
+    pden == 1 only the entries at those nonzeros change."""
+    f = row[enter]
+    if pden != 1:
+        row = [a * pden for a in row]
+        den *= pden
+    for j, b in nonzeros:
+        row[j] -= f * b
+    return _lowest_terms(row, den)
+
+
 class _Tableau:
-    """Dense bounded-variable simplex state.  All entries gmpy2.mpq.
+    """Bounded-variable simplex state on integer rows.
+
+    Row i stands for the rational row tab[i] / den[i]: tab[i] is a list of
+    ints and den[i] a positive int, kept in lowest terms (gcd(den[i],
+    *tab[i]) == 1), so the row's basic column holds tab[i][basis[i]] ==
+    den[i].  The z-row is zrow / zden under the same rules.  Basic values
+    (val), bound spans (ubound) and costs are Fractions.
 
     Columns: structural variables (shifted to lower bound 0), then one slack
     per inequality row, then artificials where the slack could not provide a
@@ -162,75 +185,67 @@ class _Tableau:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         m, n = lp.n_rows, lp.n_vars
-        self.sign = _ONE if lp.sense == "max" else -_ONE
+        self.sign = 1 if lp.sense == "max" else -1
         # structural columns, shifted: x = x' + lo, x' in [0, hi-lo]
-        self.ncols = 0
-        self.ubound: list["_q | None"] = []
-        self.cost: list["_q"] = []
-        for j in range(n):
-            lo, hi = lp.lo[j], lp.hi[j]
-            self.ubound.append(None if hi is None else _to_q(hi - lo))
-            self.cost.append(self.sign * _to_q(lp.obj[j]))
-            self.ncols += 1
-        rows_q: list[list["_q"]] = []
-        rhs_q: list["_q"] = []
-        for coeffs, rel, rhs in lp.rows:
-            dense = [_ZERO] * n
-            shift = _ZERO
-            for v, c in coeffs.items():
-                cq = _to_q(c)
-                dense[v] += cq
-                shift += cq * _to_q(lp.lo[v])
-            rows_q.append(dense)
-            rhs_q.append(_to_q(rhs) - shift)
+        self.ncols = n
+        self.ubound: list[Fraction | None] = [
+            hi - lo if lo and hi is not None else hi for lo, hi in zip(lp.lo, lp.hi)
+        ]
+        self.cost: list[Fraction] = lp.obj[:] if self.sign == 1 else [-c for c in lp.obj]
+        # each row scaled to integers by the lcm of its denominators
+        scaled: list[tuple[int, dict[int, int]]] = []
+        rhs: list[Fraction] = []
+        for coeffs, _, b in lp.rows:
+            scale = math.lcm(*(c.denominator for c in coeffs.values()))
+            scaled.append((scale, {v: c.numerator * (scale // c.denominator) for v, c in coeffs.items()}))
+            rhs.append(b - sum((c * lp.lo[v] for v, c in coeffs.items() if lp.lo[v]), _ZERO))
         # slack columns: +1 for <=, -1 for >=
         self.slack_col: list[int | None] = [None] * m
-        self.slack_sign: list["_q"] = [_ZERO] * m
+        self.slack_sign: list[int] = [0] * m
         for i, (_, rel, _) in enumerate(lp.rows):
-            if rel == "==":
-                continue
-            col = self._new_col()
-            s = _ONE if rel == "<=" else -_ONE
-            self.slack_col[i] = col
-            self.slack_sign[i] = s
-            for r in range(m):
-                rows_q[r].append(s if r == i else _ZERO)
+            if rel != "==":
+                self.slack_col[i] = self._new_col()
+                self.slack_sign[i] = 1 if rel == "<=" else -1
         # initial basis: the slack where it starts feasible, else an artificial
         self.art_col: list[int | None] = [None] * m
-        self.art_sign: list["_q"] = [_ZERO] * m
+        self.art_sign: list[int] = [0] * m
         self.art_cols: list[int] = []
         basis: list[int] = []
         for i, (_, rel, _) in enumerate(lp.rows):
-            b = rhs_q[i]
+            b = rhs[i]
             if (rel == "<=" and b >= 0) or (rel == ">=" and b <= 0):
                 basis.append(self.slack_col[i])
             else:
                 col = self._new_col()
-                s = _ONE if b >= 0 else -_ONE
                 self.art_col[i] = col
-                self.art_sign[i] = s
+                self.art_sign[i] = 1 if b >= 0 else -1
                 self.art_cols.append(col)
-                for r in range(m):
-                    rows_q[r].append(s if r == i else _ZERO)
                 basis.append(col)
-        # normalize each row so its basic column has coefficient +1
-        self.tab: list[list["_q"]] = []
-        self.val: list["_q"] = []
-        for i in range(m):
-            if rows_q[i][basis[i]] == 1:
-                self.tab.append(rows_q[i])
-                self.val.append(rhs_q[i])
-            else:  # the coefficient is -1 by construction
-                self.tab.append([-a for a in rows_q[i]])
-                self.val.append(-rhs_q[i])
+        # rows at full width, each negated where needed so that its basic
+        # column reads +1 (the coefficient is +-1 by construction)
+        self.tab: list[list[int]] = []
+        self.den: list[int] = []
+        self.val: list[Fraction] = []
+        for i, (scale, ints) in enumerate(scaled):
+            row = [0] * self.ncols
+            for v, a in ints.items():
+                row[v] = a
+            for col, s in ((self.slack_col[i], self.slack_sign[i]), (self.art_col[i], self.art_sign[i])):
+                if col is not None:
+                    row[col] = s * scale
+            if row[basis[i]] > 0:
+                self.tab.append(row)
+                self.val.append(rhs[i])
+            else:
+                self.tab.append([-a for a in row])
+                self.val.append(-rhs[i])
+            self.den.append(scale)
         self.basis = basis
-        self.status = [LOWER] * self.ncols
-        for j in range(self.ncols):
-            if self.ubound[j] == 0:
-                self.status[j] = FIXED
+        self.status = [FIXED if ub == 0 else LOWER for ub in self.ubound]
         for b in self.basis:
             self.status[b] = BASIC
-        self.zrow: list["_q"] = []
+        self.zrow: list[int] = []
+        self.zden = 1
 
     def _new_col(self) -> int:
         self.ubound.append(None)
@@ -240,24 +255,23 @@ class _Tableau:
 
     # -- phases ------------------------------------------------------------
 
-    def _reset_zrow(self, costs: list["_q"]) -> None:
-        m = len(self.basis)
-        cb = [costs[self.basis[i]] for i in range(m)]
-        zrow = []
-        for j in range(self.ncols):
-            z = -costs[j]
-            for i in range(m):
-                if cb[i]:
-                    z += cb[i] * self.tab[i][j]
-            zrow.append(z)
-        self.zrow = zrow
+    def _reset_zrow(self, costs: list[Fraction]) -> None:
+        """z_j = sum_i c_B(i) * tab[i][j] / den[i] - c_j over one common
+        denominator: the lcm of the costs' and the weights' denominators."""
+        weights = [(i, costs[b] / self.den[i]) for i, b in enumerate(self.basis) if costs[b]]
+        zden = math.lcm(*(c.denominator for c in costs), *(w.denominator for _, w in weights))
+        zrow = [-c.numerator * (zden // c.denominator) for c in costs]
+        for i, w in weights:
+            k = w.numerator * (zden // w.denominator)
+            zrow = [z + k * a for z, a in zip(zrow, self.tab[i])]
+        self.zrow, self.zden = _lowest_terms(zrow, zden)
 
     def phase1(self, pivot_limit: int) -> str:
         if not self.art_cols:
             return "feasible"
         costs = [_ZERO] * self.ncols
         for col in self.art_cols:
-            costs[col] = -_ONE
+            costs[col] = Fraction(-1)
         self._reset_zrow(costs)
         if self._iterate(pivot_limit) == "unbounded":
             raise AssertionError("phase 1 objective is bounded above by zero")
@@ -279,76 +293,89 @@ class _Tableau:
     # -- core pivoting -----------------------------------------------------
 
     def _iterate(self, pivot_limit: int) -> str:
+        tab, den, val = self.tab, self.den, self.val
+        basis, ubound, status = self.basis, self.ubound, self.status
         for _ in range(pivot_limit):
+            zrow = self.zrow
             enter = -1
-            direction = _ONE
+            direction = 1
             for j in range(self.ncols):
-                st = self.status[j]
-                if st == LOWER and self.zrow[j] < 0:
-                    enter, direction = j, _ONE
+                st = status[j]
+                if st == LOWER and zrow[j] < 0:
+                    enter, direction = j, 1
                     break
-                if st == UPPER and self.zrow[j] > 0:
-                    enter, direction = j, -_ONE
+                if st == UPPER and zrow[j] > 0:
+                    enter, direction = j, -1
                     break
             if enter < 0:
                 return "optimal"
             # ratio test: largest step t >= 0 along the improving direction;
-            # start from the entering variable's own bound span
-            limit: "_q | None" = self.ubound[enter]
+            # start from the entering variable's own bound span.  Row i's
+            # entry is g / den[i], so its cap is val[i] * den[i] / g; caps
+            # are compared as int pairs (num, positive den) by cross-multiplying.
+            ub = ubound[enter]
+            limit = None if ub is None else (ub.numerator, ub.denominator)
             leave_row = -1
             leave_to = LOWER
-            for i in range(len(self.basis)):
-                g = direction * self.tab[i][enter]
+            for i in range(len(basis)):
+                g = direction * tab[i][enter]
                 if g > 0:
-                    cap = self.val[i] / g
+                    v = val[i]
+                    cap = (v.numerator * den[i], v.denominator * g)
                     to = LOWER
                 elif g < 0:
-                    ub = self.ubound[self.basis[i]]
+                    ub = ubound[basis[i]]
                     if ub is None:
                         continue
-                    cap = (ub - self.val[i]) / (-g)
+                    v = ub - val[i]
+                    cap = (v.numerator * den[i], -v.denominator * g)
                     to = UPPER
                 else:
                     continue
-                if limit is None or cap < limit:
+                if limit is None:
                     limit, leave_row, leave_to = cap, i, to
-                elif cap == limit and (
-                    leave_row < 0 or self.basis[i] < self.basis[leave_row]
-                ):
+                    continue
+                lhs, rhs = cap[0] * limit[1], limit[0] * cap[1]
+                if lhs < rhs:
+                    limit, leave_row, leave_to = cap, i, to
+                elif lhs == rhs and (leave_row < 0 or basis[i] < basis[leave_row]):
                     # prefer pivoting over a bound flip on a tie, and break
                     # row ties by the smallest basic index (Bland)
                     limit, leave_row, leave_to = cap, i, to
             if limit is None:
                 return "unbounded"
-            t = limit
-            if t != 0:
-                for i in range(len(self.basis)):
-                    a = self.tab[i][enter]
+            t = Fraction(*limit)
+            if t:
+                # val[i] -= t * direction * tab[i][enter] / den[i], built as
+                # one fraction over vd * td * den[i]
+                tn, td = limit[0] * direction, limit[1]
+                for i in range(len(basis)):
+                    a = tab[i][enter]
                     if a:
-                        self.val[i] -= t * direction * a
+                        v = val[i]
+                        vd = v.denominator
+                        val[i] = Fraction(v.numerator * td * den[i] - tn * a * vd, vd * td * den[i])
             if leave_row < 0:
-                self.status[enter] = UPPER if direction > 0 else LOWER
+                status[enter] = UPPER if direction > 0 else LOWER
                 continue
             self._pivot(leave_row, enter, t, direction, leave_to)
         raise CyclingLimitError(f"exceeded {pivot_limit} pivots")
 
-    def _pivot(self, r: int, enter: int, t: "_q", direction: "_q", leave_to: int) -> None:
+    def _pivot(self, r: int, enter: int, t: Fraction, direction: int, leave_to: int) -> None:
         leaving = self.basis[r]
-        row = self.tab[r]
-        piv = row[enter]
-        if piv != 1:
-            inv = _ONE / piv
-            self.tab[r] = row = [a * inv for a in row]
-        for i in range(len(self.basis)):
-            if i == r:
-                continue
-            f = self.tab[i][enter]
-            if f:
-                ti = self.tab[i]
-                self.tab[i] = [a - f * b for a, b in zip(ti, row)]
-        f = self.zrow[enter]
-        if f:
-            self.zrow = [a - f * b for a, b in zip(self.zrow, row)]
+        # row r over its pivot entry: the den[r] cancels
+        prow, pden = self.tab[r], self.tab[r][enter]
+        if pden < 0:
+            prow, pden = [-a for a in prow], -pden
+        prow, pden = _lowest_terms(prow, pden)
+        self.tab[r], self.den[r] = prow, pden
+        nonzeros = [(j, b) for j, b in enumerate(prow) if b]
+        tab, den = self.tab, self.den
+        for i in range(len(tab)):
+            if i != r and tab[i][enter]:
+                tab[i], den[i] = _eliminate(tab[i], den[i], nonzeros, pden, enter)
+        if self.zrow[enter]:
+            self.zrow, self.zden = _eliminate(self.zrow, self.zden, nonzeros, pden, enter)
         if self.ubound[leaving] == 0:
             self.status[leaving] = FIXED
         else:
@@ -361,13 +388,13 @@ class _Tableau:
 
     def primal_values(self) -> list[Fraction]:
         lp = self.lp
-        vals: list["_q"] = [
+        vals: list[Fraction] = [
             self.ubound[j] if self.status[j] == UPPER else _ZERO
             for j in range(self.ncols)
         ]
         for i, b in enumerate(self.basis):
             vals[b] = self.val[i]
-        return [_to_fraction(vals[j]) + lp.lo[j] for j in range(lp.n_vars)]
+        return [vals[j] + lo if lo else vals[j] for j, lo in enumerate(lp.lo)]
 
     def dual_values(self) -> list[Fraction]:
         # row i's multiplier is read off the z-row under its slack column
@@ -378,7 +405,7 @@ class _Tableau:
             col, s = self.slack_col[i], self.slack_sign[i]
             if col is None:
                 col, s = self.art_col[i], self.art_sign[i]
-            duals.append(_to_fraction(self.sign * s * self.zrow[col]))
+            duals.append(Fraction(self.sign * s * self.zrow[col], self.zden))
         return duals
 
     def absorb_column(self, var: int) -> None:
@@ -387,21 +414,34 @@ class _Tableau:
         B^-1 A column needs computing here."""
         lp = self.lp
         col = self._insert_structural_col(var)
-        m = len(self.basis)
-        tcol = [_ZERO] * m
+        # B^-1 e_i is embedded in row i's witness column, so the new column
+        # is sum_i c_i * ws_i * (witness column of row i), with the c_i scaled
+        # to integers k_i by the lcm of their denominators
+        terms: list[tuple[int, Fraction]] = []
         for i, (coeffs, _, _) in enumerate(lp.rows):
             c = coeffs.get(var)
             if not c:
                 continue
-            # B^-1 e_i is embedded in row i's witness column
             wcol, ws = self.slack_col[i], self.slack_sign[i]
             if wcol is None:
                 wcol, ws = self.art_col[i], self.art_sign[i]
-            f = _to_q(c) * ws
-            for r in range(m):
-                tcol[r] += f * self.tab[r][wcol]
-        for r in range(m):
-            self.tab[r][col] = tcol[r]
+            terms.append((wcol, ws * c))
+        scale = math.lcm(*(c.denominator for _, c in terms))
+        nums = [0] * len(self.tab)
+        for wcol, c in terms:
+            k = c.numerator * (scale // c.denominator)
+            nums = [num + k * row[wcol] for num, row in zip(nums, self.tab)]
+        for r, (num, row) in enumerate(zip(nums, self.tab)):
+            if not num:
+                continue
+            # the entry is num / (den[r] * scale); rescale the row where the
+            # reduced fraction needs a larger denominator
+            g = math.gcd(num, scale)
+            num, up = num // g, scale // g
+            if up != 1:
+                self.tab[r] = row = [a * up for a in row]
+                self.den[r] *= up
+            row[col] = num
 
     def _insert_structural_col(self, var: int) -> int:
         """Place the new variable at tableau index `var` so structural columns
@@ -410,13 +450,13 @@ class _Tableau:
         lo, hi = lp.lo[var], lp.hi[var]
         if lo != 0:
             raise ValueError("warm-absorbed columns must have lo == 0")
-        ub = None if hi is None else _to_q(hi - lo)
+        ub = None if hi is None else hi - lo
         self.ubound.insert(var, ub)
-        self.cost.insert(var, self.sign * _to_q(lp.obj[var]))
+        self.cost.insert(var, self.sign * lp.obj[var])
         self.status.insert(var, FIXED if ub == 0 else LOWER)
         self.ncols += 1
         for i in range(len(self.basis)):
-            self.tab[i].insert(var, _ZERO)
+            self.tab[i].insert(var, 0)
             if self.basis[i] >= var:
                 self.basis[i] += 1
         self.slack_col = [c + 1 if c is not None and c >= var else c for c in self.slack_col]

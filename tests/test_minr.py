@@ -412,6 +412,19 @@ def test_log2_factor_and_draw_count():
         log2_factor(0)
 
 
+@pytest.mark.parametrize("dim", [3, 5, 6, 7, 12])
+def test_draw_count_is_the_least_k_meeting_the_integer_inequality(dim):
+    # with c * m_int = P/Q, ceil(c * m_int * log2 d) is the smallest k with
+    # 2^(k*Q) >= d^P; check that k meets it and k - 1 does not
+    for c in (Fraction(6), Fraction(7), Fraction(13, 2), Fraction(25, 3), Fraction(1001, 17)):
+        for m_int in (1, 2, 3, 5, 12, 40):
+            k = draw_count(c, m_int, dim)
+            p, q = (c * m_int).numerator, (c * m_int).denominator
+            assert 2 ** (k * q) >= dim**p
+            assert 2 ** ((k - 1) * q) < dim**p
+    assert draw_count(Fraction(6), 0, dim) == 0
+
+
 def test_window_condition_threshold_scales():
     params = MinRParams()
     base = window_condition_threshold(64, 2, 2, params)

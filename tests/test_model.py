@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from slotsched.generator import GenSpec, generate
 from slotsched.model import (
     Instance,
     Job,
@@ -92,6 +93,24 @@ def test_instance_rejects_dim_mismatch_and_dup_ids():
         Instance(hosts=1, dim=2, jobs=(mk_job(),))
     with pytest.raises(ValueError):
         Instance(hosts=1, dim=1, jobs=(mk_job(jid=1), mk_job(jid=1)))
+
+
+def test_instance_jobs_is_always_a_tuple():
+    jobs = [Job(id=1, release=1, due=4, length=2, demand=(Fraction(1, 2),)),
+            Job(id=2, release=2, due=3, length=1, demand=(Fraction(1, 3),))]
+    from_list = Instance(hosts=1, dim=1, jobs=jobs)
+    from_tuple = Instance(hosts=1, dim=1, jobs=tuple(jobs))
+    assert isinstance(from_list.jobs, tuple)
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+
+
+def test_generated_instance_hashes_and_equals_its_tuple_form():
+    instance = generate(GenSpec(jobs=6, hosts=2, horizon=8, seed="tuple"))
+    rebuilt = Instance(hosts=instance.hosts, dim=instance.dim, jobs=tuple(instance.jobs))
+    assert instance == rebuilt
+    assert hash(instance) == hash(rebuilt)
+    assert len({instance, rebuilt}) == 1
 
 
 def test_validate_single_job_feasible():

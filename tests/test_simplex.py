@@ -1,12 +1,16 @@
 """Exact simplex: hand cases, a classic cycling instance, duals, random
-cross-checks against vertex enumeration, and warm-started column adds."""
+cross-checks against vertex enumeration, and warm-started column adds with
+fractional data (property-tested)."""
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _lpref import check_certificates, random_boxed_lp, vertex_optimum
 from slotsched.simplex import LinearProgram, solve
@@ -169,3 +173,70 @@ def test_solutions_deterministic():
     first = [solve(lp, warm=False) for lp in lps]
     second = [solve(lp, warm=False) for lp in lps]
     assert first == second
+
+
+def _unique_optimum(lp: LinearProgram, sol) -> bool:
+    """True when the vertex sol.x is nondegenerate (exactly n active
+    constraints) and every active inequality or bound has a nonzero
+    multiplier.  Complementary slackness then keeps all of them active at
+    any optimum, so sol.x is the only optimal point and sol.duals the only
+    optimal multipliers: a second solve must return the same pair."""
+    x, y = sol.x, sol.duals
+    active = 0
+    for i, (_, rel, rhs) in enumerate(lp.rows):
+        if rel == "==":
+            active += 1
+        elif lp.row_activity(x, i) == rhs:
+            if y[i] == 0:
+                return False
+            active += 1
+    for j in range(lp.n_vars):
+        z = lp.obj[j] - sum((y[i] * coeffs.get(j, 0) for i, (coeffs, _, _) in enumerate(lp.rows)), Fraction(0))
+        for bound in (lp.lo[j], lp.hi[j]):
+            if bound is not None and x[j] == bound:
+                if z == 0:
+                    return False
+                active += 1
+    return active == lp.n_vars
+
+
+_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+_positive = st.builds(Fraction, st.integers(1, 24), st.integers(1, 9))
+_var = st.tuples(_rationals, st.builds(Fraction, st.integers(-9, 3), st.integers(1, 5)), _positive)
+_row = st.tuples(
+    st.dictionaries(st.integers(0, 2), _rationals, max_size=3),
+    st.sampled_from(["<=", ">=", "=="]),
+    _rationals,
+)
+_col = st.tuples(_rationals, st.dictionaries(st.integers(0, 3), _rationals, min_size=1, max_size=4), _positive)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sense=st.sampled_from(["max", "min"]),
+    variables=st.lists(_var, min_size=1, max_size=3),
+    rows=st.lists(_row, min_size=1, max_size=4),
+    columns=st.lists(_col, min_size=1, max_size=4),
+)
+def test_warm_column_adds_with_fractional_data_match_cold_solves(sense, variables, rows, columns):
+    # fractional entries in an added column make absorb_column rescale rows
+    # to a larger denominator; every warm solve must agree with a cold one
+    lp = LinearProgram(sense)
+    for obj, lo, span in variables:
+        lp.add_variable(objective=obj, lo=lo, hi=lo + span)
+    for coeffs, rel, rhs in rows:
+        lp.add_row({v % lp.n_vars: c for v, c in coeffs.items()}, rel, rhs)
+    solve(lp)
+    for obj, entries, hi in columns:
+        lp.add_column(obj, {r % lp.n_rows: c for r, c in entries.items()}, lo=0, hi=hi)
+        warm = solve(lp)
+        cold = solve(copy.deepcopy(lp), warm=False)  # leaves lp's basis for the next warm solve
+        assert warm.status == cold.status
+        if cold.status != "optimal":
+            continue
+        assert warm.objective == cold.objective
+        check_certificates(lp, warm)
+        check_certificates(lp, cold)
+        if _unique_optimum(lp, cold):
+            assert warm.x == cold.x
+            assert warm.duals == cold.duals
