@@ -23,11 +23,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .experiments import SOLVER_NAMES, compare, rows_to_csv, run_batch
+from .experiments import SOLVER_NAMES, SOLVERS, compare, rows_to_csv, run_batch
 from .generator import GenSpec, generate
 from .laminar import transform_instance
 from .maxt import ScheduleError
-from .minr import MinRError, MinRParams, partition_by_window, solve_minr
+from .minr import MinRError, MinRParams
 from .model import (
     dumps_canonical,
     format_rational,
@@ -69,7 +69,7 @@ def _emit(text: str, out: str | None) -> None:
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -117,34 +117,17 @@ def _cmd_laminarize(args) -> int:
     return 0
 
 
-def _cmd_solve_maxt(args) -> int:
-    from .maxt import (
-        solve_maxt_general,
-        solve_maxt_laminar,
-        solve_maxt_logn,
-        solve_utilization,
-    )
-
+def _solve(args, solver: str, lam=None, minr_params=None) -> int:
+    """Run one registry solver on the instance and emit its result JSON."""
     instance = load_instance(args.instance)
-    lam = args.lam
-    if args.solver == "laminar":
-        result = solve_maxt_laminar(instance, lam=lam)
-    elif args.solver == "laminar-split":
-        result = solve_maxt_laminar(instance, lam=lam, variant="split")
-    elif args.solver == "general":
-        result = solve_maxt_general(instance, lam=lam)
-    elif args.solver == "general-split":
-        result = solve_maxt_general(instance, lam=lam, variant="split")
-    elif args.solver == "logn":
-        result = solve_maxt_logn(instance)
-    else:
-        result = (
-            solve_utilization(instance, lam=lam)
-            if lam is not None
-            else solve_utilization(instance)
-        )
+    _, runner = SOLVERS[solver]
+    result = runner(instance, args.seed, lam, minr_params)[0]
     _emit(dumps_canonical(result.to_json()), args.out)
     return 0
+
+
+def _cmd_solve_maxt(args) -> int:
+    return _solve(args, args.solver, lam=args.lam)
 
 
 def _minr_params(args) -> MinRParams:
@@ -163,14 +146,8 @@ def _minr_params(args) -> MinRParams:
 
 
 def _cmd_solve_minr(args) -> int:
-    instance = load_instance(args.instance)
-    params = _minr_params(args)
-    if args.partition:
-        result = partition_by_window(instance, params, seed=args.seed)
-    else:
-        result = solve_minr(instance, params, seed=args.seed)
-    _emit(dumps_canonical(result.to_json()), args.out)
-    return 0
+    solver = "minr-partition" if args.partition else "minr"
+    return _solve(args, solver, minr_params=_minr_params(args))
 
 
 def _cmd_oracle(args) -> int:
@@ -204,17 +181,7 @@ def _cmd_validate(args) -> int:
         require_all_complete=args.require_all_complete,
         hosts=args.hosts,
     )
-    payload = {
-        "feasible": report.feasible,
-        "violations": [
-            {"kind": v.kind, "job": v.job, "host": v.host, "slot": v.slot}
-            for v in report.violations
-        ],
-        "completed": sorted(report.completed_ids),
-        "total_weight": format_rational(report.total_weight),
-        "total_area": format_rational(report.total_area),
-    }
-    _emit(dumps_canonical(payload), args.out)
+    _emit(dumps_canonical(report.to_json()), args.out)
     return 0 if report.feasible else 1
 
 
@@ -279,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-maxt", help="approximate maximum-throughput scheduling")
     p.add_argument("instance")
     p.add_argument("--solver", default="laminar",
-                   choices=("laminar", "laminar-split", "general", "general-split",
-                            "logn", "utilization"))
+                   choices=[name for name, (metric, _) in SOLVERS.items() if metric == "profit"])
     p.add_argument("--lam", type=_rational, default=None,
                    help="slackness bound (default: measured from the instance)")
     _add_common(p)

@@ -42,6 +42,7 @@ from .oracle import DEFAULT_LIMITS, LimitExceeded, OracleLimits, exact_maxt, exa
 __all__ = [
     "CSV_COLUMNS",
     "RunRow",
+    "SOLVERS",
     "SOLVER_NAMES",
     "compare",
     "instance_digest",
@@ -106,9 +107,10 @@ def _fmt(q) -> str:
     return str(out)
 
 
-# Each solver entry: (metric, runner).  Runners take (instance, seed, lam,
-# minr_params) and return (value, lp_bound, params_str); deterministic
-# solvers ignore the seed.
+# The one table of how each solver name is called, used by compare, batch and
+# the CLI.  Each entry: (metric, runner).  Runners take (instance, seed, lam,
+# minr_params) and return (result, value, lp_bound, params_str), where result
+# is the solver's own result object; deterministic solvers ignore the seed.
 def _maxt_runner(fn, takes_lam=True, **fixed):
     def run(instance, seed, lam, minr_params):
         kwargs = dict(fixed)
@@ -116,20 +118,20 @@ def _maxt_runner(fn, takes_lam=True, **fixed):
             kwargs["lam"] = lam
         res = fn(instance, **kwargs)
         params = f"lam={_fmt(lam)}" if takes_lam and lam is not None else ""
-        return res.profit, res.lp_bound, params
+        return res, res.profit, res.lp_bound, params
     return run
 
 
 def _run_minr(instance, seed, lam, minr_params):
     params = minr_params or MinRParams()
     res = solve_minr(instance, params, seed=seed)
-    return res.hosts_used, res.m_star, f"c={_fmt(params.c)}"
+    return res, res.hosts_used, res.m_star, f"c={_fmt(params.c)}"
 
 
 def _run_partition(instance, seed, lam, minr_params):
     params = minr_params or MinRParams()
     res = partition_by_window(instance, params, seed=seed)
-    return res.total_hosts, None, f"c={_fmt(params.c)};theta={_fmt(params.theta)}"
+    return res, res.total_hosts, None, f"c={_fmt(params.c)};theta={_fmt(params.theta)}"
 
 
 SOLVERS = {
@@ -182,7 +184,7 @@ def compare(
         opt = oracle_cache[metric]
         started = time.perf_counter()
         try:
-            value, lp_bound, params = runner(instance, seed, lam, minr_params)
+            _, value, lp_bound, params = runner(instance, seed, lam, minr_params)
             status = "ok"
         except Exception as exc:  # recorded, not raised: failures become rows
             value, lp_bound, params = None, None, ""

@@ -13,8 +13,8 @@ and both are cheap to check exhaustively for small horizons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from slotsched.model import Instance, Job, TimeWindow
 
@@ -39,10 +39,6 @@ def is_laminar(windows: Iterable[TimeWindow]) -> bool:
 class TreeNode:
     window: TimeWindow
     children: tuple["TreeNode", ...]
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,3 @@ def transform_instance(instance: Instance) -> tuple[Instance, LaminarMapping]:
 def forest_order(windows: Iterable[TimeWindow]) -> list[TimeWindow]:
     """Distinct windows sorted children-before-parents (size asc, start asc)."""
     return sorted(set(windows), key=lambda w: (w.size, w.start))
-
-
-def strict_ancestors(window: TimeWindow, family: Sequence[TimeWindow]) -> list[TimeWindow]:
-    return [w for w in family if w != window and w.contains(window)]

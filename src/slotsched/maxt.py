@@ -28,7 +28,7 @@ log-n fallback, and utilization greedy (weights forced to areas).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -254,6 +254,36 @@ class SlotBins:
                 return h
         return None
 
+    def place_pairing(
+        self, job_id: int, height: Fraction, avail: Iterable[int], units: int
+    ) -> set[tuple[int, int]]:
+        """`units` units of a job in distinct slots of `avail`, one
+        allocate_pairing call per unit.  Raises ScheduleError when stuck."""
+        avail = set(avail)
+        spots: set[tuple[int, int]] = set()
+        for _ in range(units):
+            h, t = self.allocate_pairing(job_id, height, avail)
+            avail.discard(t)
+            spots.add((h, t))
+        return spots
+
+    def place_smallfit(
+        self, job_id: int, height: Fraction, slots: Iterable[int], units: int
+    ) -> set[tuple[int, int]]:
+        """`units` units of a job in the first slots of `slots` where some
+        host is less than (1 - height) full, each on the lowest such host.
+        Raises ScheduleError, having placed nothing, when fewer slots qualify."""
+        cap = 1 - height
+        good = [t for t in slots if self.open_host(t, cap) is not None]
+        if len(good) < units:
+            raise ScheduleError(job_id, f"only {len(good)} open slots for {units} units")
+        spots: set[tuple[int, int]] = set()
+        for t in good[:units]:
+            h = self.open_host(t, cap)
+            self.place(h, t, height)
+            spots.add((h, t))
+        return spots
+
 
 def schedule_selected(
     instance: Instance, selected: Iterable[int], mode: str = "pairing"
@@ -272,28 +302,9 @@ def schedule_selected(
     chosen.sort(key=lambda j: (node_rank[j.window], j.id))
     bins = SlotBins(instance.hosts, instance.horizon)
     placements: dict[int, set[tuple[int, int]]] = {}
+    place = bins.place_pairing if mode == "pairing" else bins.place_smallfit
     for job in chosen:
-        height = job.height
-        spots: set[tuple[int, int]] = set()
-        if mode == "pairing":
-            avail = set(job.window.slots())
-            for _ in range(job.length):
-                h, t = bins.allocate_pairing(job.id, height, avail)
-                avail.discard(t)
-                spots.add((h, t))
-        else:
-            good = [
-                t for t in job.window.slots() if bins.open_host(t, 1 - height) is not None
-            ]
-            if len(good) < job.length:
-                raise ScheduleError(
-                    job.id, f"only {len(good)} open slots for {job.length} units"
-                )
-            for t in good[: job.length]:
-                h = bins.open_host(t, 1 - height)
-                bins.place(h, t, height)
-                spots.add((h, t))
-        placements[job.id] = spots
+        placements[job.id] = place(job.id, job.height, job.window.slots(), job.length)
     return Schedule.from_pairs(placements), bins
 
 
@@ -570,15 +581,7 @@ def solve_maxt_general(
     elif lam >= Fraction(1, 4):
         raise ValueError(f"lambda {lam} >= 1/4; the laminarized instance leaves no headroom")
     inner = solve_maxt_laminar(trans, lam=lam_t, variant=variant)
-    return MaxTResult(
-        selected=inner.selected,
-        schedule=inner.schedule,
-        profit=inner.profit,
-        path=f"general-{inner.path}",
-        omega=inner.omega,
-        lp_bound=inner.lp_bound,
-        dropped=mapping.untransformable,
-    )
+    return replace(inner, path=f"general-{inner.path}", dropped=mapping.untransformable)
 
 
 def solve_maxt_logn(instance: Instance) -> MaxTResult:
@@ -607,18 +610,8 @@ def solve_maxt_logn(instance: Instance) -> MaxTResult:
     if tall:
         tall_res = solve_large_heights(instance.with_jobs(tall), delta=cut)
     if tiny_res.profit >= tall_res.profit:
-        return MaxTResult(
-            selected=tiny_res.selected,
-            schedule=tiny_res.schedule,
-            profit=tiny_res.profit,
-            path="logn-tiny",
-        )
-    return MaxTResult(
-        selected=tall_res.selected,
-        schedule=tall_res.schedule,
-        profit=tall_res.profit,
-        path="logn-tall",
-    )
+        return tiny_res
+    return replace(tall_res, path="logn-tall")
 
 
 def utilization_bound(m: int, lam: Fraction) -> Fraction:
@@ -639,16 +632,12 @@ def greedy_long_lowheight(instance: Instance, lam: Fraction) -> MaxTResult:
     placements: dict[int, set[tuple[int, int]]] = {}
     admitted: list[int] = []
     for job in eligible:
-        cap = 1 - job.height
-        good = [t for t in job.window.slots() if bins.open_host(t, cap) is not None]
-        if len(good) < job.length:
-            continue
-        spots = set()
-        for t in good[: job.length]:
-            h = bins.open_host(t, cap)
-            bins.place(h, t, job.height)
-            spots.add((h, t))
-        placements[job.id] = spots
+        try:
+            placements[job.id] = bins.place_smallfit(
+                job.id, job.height, job.window.slots(), job.length
+            )
+        except ScheduleError:
+            continue  # not enough open slots: the job is not admitted
         admitted.append(job.id)
     ids = tuple(sorted(admitted))
     return MaxTResult(
@@ -697,11 +686,4 @@ def solve_utilization(instance: Instance, lam: Fraction = Fraction(1, 5)) -> Max
     if not candidates:
         return _empty_result("utilization")
     best = max(candidates, key=lambda r: r.profit)
-    return MaxTResult(
-        selected=best.selected,
-        schedule=best.schedule,
-        profit=best.profit,
-        path=f"utilization-{best.path}",
-        omega=best.omega,
-        lp_bound=best.lp_bound,
-    )
+    return replace(best, path=f"utilization-{best.path}")

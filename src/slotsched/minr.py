@@ -409,17 +409,12 @@ def schedule_residual(
     bins = SlotBins(hosts, tree.horizon)
     placements: dict[int, set[tuple[int, int]]] = {}
     for r in ordered:
-        avail = set(residual_avail(r, tree))
+        avail = residual_avail(r, tree)
         if len(avail) < r.units:
             raise ScheduleError(
                 r.job_id, f"mapped window offers {len(avail)} slots for {r.units} units"
             )
-        spots: set[tuple[int, int]] = set()
-        for _ in range(r.units):
-            h, t = bins.allocate_pairing(r.job_id, r.height, avail)
-            avail.discard(t)
-            spots.add((h, t))
-        placements[r.job_id] = spots
+        placements[r.job_id] = bins.place_pairing(r.job_id, r.height, avail, r.units)
     return Schedule.from_pairs(placements), bins
 
 

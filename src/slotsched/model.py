@@ -15,8 +15,9 @@ module touches floating point, so feasibility checks are decidable exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 
@@ -31,11 +32,11 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        num, slash, den = value.strip().partition("/")
+        try:
+            return Fraction(int(num), int(den) if slash else 1)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"not a rational: {value!r}") from None
     if isinstance(value, Fraction):
         return value
     raise ValueError(f"not a rational: {value!r} (floats are not accepted)")
@@ -110,8 +111,10 @@ class Job:
         elif self.weight < 0:
             raise ValueError(f"job {self.id}: negative weight")
 
-    @property
+    @cached_property
     def window(self) -> TimeWindow:
+        # cached in the instance __dict__, outside the dataclass fields, so
+        # equality, hashing and repr do not see it
         return TimeWindow(self.release, self.due)
 
     @property
@@ -160,12 +163,6 @@ class Instance:
     @property
     def horizon(self) -> int:
         return max((job.due for job in self.jobs), default=0)
-
-    def job_by_id(self, jid: int) -> Job:
-        for job in self.jobs:
-            if job.id == jid:
-                return job
-        raise KeyError(jid)
 
     def job_map(self) -> dict[int, Job]:
         return {job.id: job for job in self.jobs}
@@ -220,16 +217,6 @@ class Violation:
     host: int | None = None
     slot: int | None = None
 
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.job is not None:
-            out["job"] = self.job
-        if self.host is not None:
-            out["host"] = self.host
-        if self.slot is not None:
-            out["slot"] = self.slot
-        return out
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -240,10 +227,11 @@ class ValidationReport:
     total_area: Fraction
 
     def to_json(self) -> dict:
+        """The `slotsched validate` payload; absent violation fields are null."""
         return {
             "feasible": self.feasible,
-            "violations": [v.to_json() for v in self.violations],
-            "completed_ids": list(self.completed_ids),
+            "violations": [asdict(v) for v in self.violations],
+            "completed": sorted(self.completed_ids),
             "total_weight": format_rational(self.total_weight),
             "total_area": format_rational(self.total_area),
         }
@@ -342,25 +330,53 @@ def job_to_json(job: Job) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bools and floats do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_array(value) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, str)
+
+
+def _field(obj, key: str, where: str):
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _int_field(obj, key: str, where: str) -> int:
+    value = _field(obj, key, where)
+    if not _is_int(value):
+        raise ValueError(f"{where}: field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _rational_field(value, key: str, where: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: field {key!r}: {exc}") from None
+
+
 def job_from_json(obj: Mapping, dim: int) -> Job:
-    demand_raw = obj["demand"]
-    if not isinstance(demand_raw, Sequence) or isinstance(demand_raw, str):
+    """A job from its JSON object; the weight defaults to the area when
+    omitted.  Raises ValueError naming the field on malformed input."""
+    jid = _int_field(obj, "id", "job")
+    where = f"job {jid}"
+    demand_raw = _field(obj, "demand", where)
+    if not _is_array(demand_raw):
         demand_raw = [demand_raw]
-    demand = tuple(parse_rational(s) for s in demand_raw)
     weight_raw = obj.get("weight")
-    length = int(obj["length"])
-    if weight_raw is None:
-        # weight defaults to area when omitted
-        weight = length * max(demand)
-    else:
-        weight = parse_rational(weight_raw)
     return Job(
-        id=int(obj["id"]),
-        release=int(obj["release"]),
-        due=int(obj["due"]),
-        length=length,
-        demand=demand,
-        weight=weight,
+        id=jid,
+        release=_int_field(obj, "release", where),
+        due=_int_field(obj, "due", where),
+        length=_int_field(obj, "length", where),
+        demand=tuple(_rational_field(s, "demand", where) for s in demand_raw),
+        weight=None if weight_raw is None else _rational_field(weight_raw, "weight", where),
     )
 
 
@@ -373,11 +389,16 @@ def instance_to_json(instance: Instance) -> dict:
 
 
 def instance_from_json(obj: Mapping) -> Instance:
-    dim = int(obj["dim"])
+    """An instance from its JSON object.  Raises ValueError naming the field
+    on malformed input."""
+    dim = _int_field(obj, "dim", "instance")
+    jobs = _field(obj, "jobs", "instance")
+    if not _is_array(jobs):
+        raise ValueError(f"instance: field 'jobs' must be a list, got {type(jobs).__name__}")
     return Instance(
-        hosts=int(obj["hosts"]),
+        hosts=_int_field(obj, "hosts", "instance"),
         dim=dim,
-        jobs=tuple(job_from_json(j, dim) for j in obj["jobs"]),
+        jobs=tuple(job_from_json(j, dim) for j in jobs),
     )
 
 
@@ -391,9 +412,28 @@ def schedule_to_json(schedule: Schedule) -> dict:
 
 
 def schedule_from_json(obj: Mapping) -> Schedule:
-    return Schedule.from_pairs(
-        {int(jid): [(int(h), int(t)) for h, t in pairs] for jid, pairs in obj["placements"].items()}
-    )
+    """A schedule from its JSON object: job-id keys, each mapped to a list of
+    [host, slot] integer pairs.  Raises ValueError naming the field on
+    malformed input."""
+    placements = _field(obj, "placements", "schedule")
+    if not isinstance(placements, Mapping):
+        raise ValueError(
+            f"schedule: field 'placements' must be a JSON object, got {type(placements).__name__}"
+        )
+    pairs = {}
+    for key, spots in placements.items():
+        where = f"schedule: placements[{key!r}]"
+        try:
+            jid = key if _is_int(key) else int(key)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: key is not a job id") from None
+        if not _is_array(spots):
+            raise ValueError(f"{where} must be a list of [host, slot] pairs")
+        for pair in spots:
+            if not (_is_array(pair) and len(pair) == 2 and all(map(_is_int, pair))):
+                raise ValueError(f"{where}: {pair!r} is not a [host, slot] pair of integers")
+        pairs[jid] = spots
+    return Schedule.from_pairs(pairs)
 
 
 def dumps_canonical(obj) -> str:
@@ -405,16 +445,6 @@ def load_instance(path) -> Instance:
         return instance_from_json(json.load(fh))
 
 
-def save_instance(instance: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(instance_to_json(instance)))
-
-
 def load_schedule(path) -> Schedule:
     with open(path, "r", encoding="utf-8") as fh:
         return schedule_from_json(json.load(fh))
-
-
-def save_schedule(schedule: Schedule, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(schedule_to_json(schedule)))

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface, driven through main()."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from slotsched import maxt, minr
 from slotsched.cli import main
-from slotsched.model import load_instance, load_schedule, validate
+from slotsched.experiments import SOLVERS
+from slotsched.model import dumps_canonical, load_instance, load_schedule, validate
 
 
 def run(capsys, *argv):
@@ -266,3 +269,122 @@ def test_every_command_accepts_seed(tmp_path, capsys):
     for argv in commands:
         code, _, err = run(capsys, *argv, "--seed", "1")
         assert code == 0, (argv, err)
+
+
+# each profit solver name of the registry, as a direct library call
+DIRECT_MAXT = {
+    "laminar": lambda inst, lam: maxt.solve_maxt_laminar(inst, lam=lam),
+    "laminar-single": lambda inst, lam: maxt.solve_maxt_laminar(inst, lam=lam, variant="single"),
+    "laminar-split": lambda inst, lam: maxt.solve_maxt_laminar(inst, lam=lam, variant="split"),
+    "general": lambda inst, lam: maxt.solve_maxt_general(inst, lam=lam),
+    "general-split": lambda inst, lam: maxt.solve_maxt_general(inst, lam=lam, variant="split"),
+    "logn": lambda inst, lam: maxt.solve_maxt_logn(inst),
+    "utilization": lambda inst, lam: (
+        maxt.solve_utilization(inst) if lam is None else maxt.solve_utilization(inst, lam=lam)
+    ),
+}
+
+
+def test_solve_maxt_takes_every_registry_profit_solver(tmp_path, capsys):
+    assert set(DIRECT_MAXT) == {n for n, (metric, _) in SOLVERS.items() if metric == "profit"}
+    inst_path = gen_instance(tmp_path, capsys, jobs="6", horizon="16", slack="1/10")
+    instance = load_instance(inst_path)
+    for name, direct in DIRECT_MAXT.items():
+        for lam in (None, Fraction(1, 10)):
+            argv = ["solve-maxt", str(inst_path), "--solver", name]
+            argv += [] if lam is None else ["--lam", "1/10"]
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (name, lam, err)
+            assert out == dumps_canonical(direct(instance, lam).to_json()), (name, lam)
+
+
+def test_solve_minr_dispatch_matches_the_library(tmp_path, capsys):
+    inst_path = gen_instance(tmp_path, capsys, jobs="3", horizon="8", slack="1/4")
+    instance = load_instance(inst_path)
+    params = minr.MinRParams(theta=Fraction(1, 16))
+    code, out, _ = run(capsys, "solve-minr", str(inst_path), "--theta", "1/16", "--seed", "9")
+    assert code == 0
+    assert out == dumps_canonical(minr.solve_minr(instance, params, seed="9").to_json())
+    code, out, _ = run(capsys, "solve-minr", str(inst_path), "--theta", "1/16", "--seed", "9",
+                       "--partition")
+    assert code == 0
+    assert out == dumps_canonical(minr.partition_by_window(instance, params, seed="9").to_json())
+
+
+def test_validate_payload_is_the_report_json(tmp_path, capsys):
+    inst_path = gen_instance(tmp_path, capsys)
+    sched_path = tmp_path / "bad.json"
+    sched_path.write_text(json.dumps({"placements": {"1": [[9, 1]], "77": [[1, 1]]}}))
+    code, out, _ = run(capsys, "validate", str(inst_path), str(sched_path))
+    assert code == 1
+    payload = json.loads(out)
+    assert set(payload) == {"feasible", "violations", "completed", "total_weight", "total_area"}
+    assert payload["violations"]
+    for violation in payload["violations"]:
+        assert set(violation) == {"kind", "job", "host", "slot"}
+    assert {"kind": "unknown-job", "job": 77, "host": None, "slot": None} in payload["violations"]
+    report = validate(load_instance(inst_path), load_schedule(sched_path))
+    assert out == dumps_canonical(report.to_json())
+
+
+GOOD_INSTANCE = {
+    "hosts": 1,
+    "dim": 1,
+    "jobs": [{"id": 1, "release": 1, "due": 8, "length": 2, "demand": ["1/2"]}],
+}
+GOOD_JOB = GOOD_INSTANCE["jobs"][0]
+
+
+def test_the_well_formed_instance_solves(tmp_path, capsys):
+    # truncating "hosts": 1.9 or "length": 2.7 would leave it solvable too
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(GOOD_INSTANCE))
+    assert run(capsys, "solve-maxt", str(inst_path))[0] == 0
+
+
+def _with_job(**fields):
+    return {**GOOD_INSTANCE, "jobs": [{**GOOD_JOB, **fields}]}
+
+
+@pytest.mark.parametrize(
+    "instance, schedule, field",
+    [
+        (_with_job(demand="1/0"), None, "demand"),
+        ({"hosts": 1, "dim": 1}, None, "jobs"),
+        ([GOOD_INSTANCE], None, "instance"),
+        ({**GOOD_INSTANCE, "jobs": 5}, None, "jobs"),
+        ({**GOOD_INSTANCE, "hosts": 1.9}, None, "hosts"),
+        (_with_job(length=2.7), None, "length"),
+        ({**GOOD_INSTANCE, "dim": True}, None, "dim"),
+        (_with_job(id=True), None, "'id'"),
+        (_with_job(release=1.0), None, "release"),
+        (_with_job(due="8"), None, "due"),
+        (_with_job(length=None), None, "length"),
+        (_with_job(weight=0.5), None, "weight"),
+        (GOOD_INSTANCE, {"placements": {"1": [[1]]}}, "placements"),
+        (GOOD_INSTANCE, [], "schedule"),
+        (GOOD_INSTANCE, {"placements": []}, "placements"),
+        (GOOD_INSTANCE, {"placements": {"x": []}}, "placements"),
+        (GOOD_INSTANCE, {"placements": {"1": 5}}, "placements"),
+        (GOOD_INSTANCE, {"placements": {"1": [[1, 2.0]]}}, "placements"),
+        (GOOD_INSTANCE, {"placements": {"1": [[1, True]]}}, "placements"),
+    ],
+    ids=["demand-1/0", "no-jobs", "top-level-list", "jobs-5", "hosts-float", "length-float",
+         "dim-bool", "id-bool", "release-float", "due-string", "length-null", "weight-float",
+         "pair-of-one", "schedule-list", "placements-list", "key-not-id", "spots-int",
+         "slot-float", "slot-bool"],
+)
+def test_malformed_input_is_a_clean_error(tmp_path, capsys, instance, schedule, field):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(instance))
+    if schedule is None:
+        argv = ["solve-maxt", str(inst_path)]
+    else:
+        sched_path = tmp_path / "sched.json"
+        sched_path.write_text(json.dumps(schedule))
+        argv = ["validate", str(inst_path), str(sched_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+    assert out == ""

@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotsched.generator import GenSpec, generate
 from slotsched.model import (
@@ -43,6 +45,9 @@ def test_parse_rational_forms():
         parse_rational(0.5)
     with pytest.raises(ValueError):
         parse_rational(True)
+    for text in ("1/0", "abc", "1/x", "", "/"):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(text)
 
 
 def test_format_rational_round_trip():
@@ -233,3 +238,61 @@ def test_schedule_merge():
     merged = a.merged_with(b)
     assert merged.placements[1] == frozenset({(1, 1), (2, 2)})
     assert merged.placements[2] == frozenset({(1, 3)})
+
+
+def test_job_with_cached_window_equals_and_hashes_like_its_twin():
+    read, fresh = mk_job(jid=3, release=2, due=5), mk_job(jid=3, release=2, due=5)
+    assert read.window == TimeWindow(2, 5)
+    assert read.window is read.window  # built once, then cached
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert {read, fresh} == {fresh}
+
+
+_json_leaf = st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | st.sampled_from(
+    ["", "1", "1/2", "3/4", "1/0", "-1", "x", "2/3/4", " 7 "]
+)
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _mostly(valid):
+    """`valid` four times in five, any JSON value otherwise."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else _json)
+
+
+_near_job = st.fixed_dictionaries(
+    {
+        "id": _mostly(st.integers(1, 4)),
+        "release": _mostly(st.integers(1, 3)),
+        "due": _mostly(st.integers(3, 6)),
+        "length": _mostly(st.integers(1, 3)),
+        "demand": _mostly(st.lists(st.sampled_from(["1/2", "1/3", 1]), min_size=1, max_size=1)),
+    },
+    optional={"weight": _mostly(st.sampled_from(["5/2", 1, "0"]))},
+)
+_near_instance = st.fixed_dictionaries(
+    {
+        "hosts": _mostly(st.integers(1, 3)),
+        "dim": _mostly(st.just(1)),
+        "jobs": _mostly(st.lists(_mostly(_near_job), max_size=3)),
+    }
+)
+_pair = st.lists(_mostly(st.integers(1, 4)), min_size=2, max_size=2)
+_near_placements = st.dictionaries(
+    st.sampled_from(["1", "2", "x", " 3"]), _mostly(st.lists(_mostly(_pair)))
+)
+_near_schedule = st.fixed_dictionaries({"placements": _mostly(_near_placements)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=_near_instance | _json, schedule=_near_schedule | _json)
+def test_loaders_either_load_or_raise_value_error(instance, schedule):
+    for load, obj in ((instance_from_json, instance), (schedule_from_json, schedule)):
+        try:
+            load(obj)
+        except ValueError:
+            pass
