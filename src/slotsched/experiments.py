@@ -32,6 +32,7 @@ from .maxt import (
 from .minr import MinRParams, partition_by_window, solve_minr
 from .model import (
     Instance,
+    _is_int,
     dumps_canonical,
     format_rational,
     instance_to_json,
@@ -297,6 +298,10 @@ def _parse_batch_config(config):
     for gi, entry in enumerate(gen_entries):
         entry = dict(_config_mapping(entry, f"gen[{gi}]"))
         count = entry.pop("count", 1)
+        if not _is_int(count):
+            raise ValueError(
+                f"batch config field 'gen[{gi}].count' must be an integer, got {count!r}"
+            )
         label = entry.pop("label", f"gen{gi}")
         entry.pop("seed", None)  # seeds are derived, never taken from specs
         gen_specs.append((label, spec_from_json(entry), count))
@@ -315,8 +320,13 @@ def _parse_batch_config(config):
     minr_params = None
     if "minr" in config:
         raw = _config_fields(config["minr"], "minr", MinRParams)
+        retries = raw.get("max_retries", 0)
+        if not _is_int(retries):
+            raise ValueError(
+                f"batch config field 'minr.max_retries' must be an integer, got {retries!r}"
+            )
         minr_params = MinRParams(**{
-            k: int(v) if k == "max_retries" else parse_rational(v)
+            k: v if k == "max_retries" else parse_rational(v)
             for k, v in raw.items()
         })
     if "acceptance" in config and not isinstance(config["acceptance"], str):

@@ -1,11 +1,13 @@
 """Throughput maximization: schedule a max-weight job subset on m hosts.
 
-The laminar pipeline is LP -> rounding -> greedy packing:
+The laminar pipeline is relaxation -> rounding -> greedy packing:
 
 * solve_relaxation: fractional selection x in [0,1]^J maximizing total
   weight, with the area inside every window chi of the (laminar) family
-  capped at omega * m * |chi|.  The capacity headroom bought by omega < 1 is
-  exactly what the later packing steps spend.
+  capped at omega * m * |chi|.  In the areas y_j = area_j * x_j these caps
+  over a laminar family define a polymatroid, so no LP is needed: filling
+  jobs in density order (Edmonds' greedy) is optimal.  The capacity headroom
+  bought by omega < 1 is exactly what the later packing steps spend.
 * round_selection: walks the window forest bottom-up moving fractional area
   from a node's fractional job to fractional jobs strictly inside it, so at
   most one fractional job survives per root-leaf path; survivors round up.
@@ -43,7 +45,8 @@ from slotsched.model import (
     schedule_to_json,
     slackness,
 )
-from slotsched.simplex import LinearProgram, solve as lp_solve
+# not called here: the benchmark's tracer (bench/layers.py) times maxt.lp_solve
+from slotsched.simplex import solve as lp_solve  # noqa: F401
 
 
 class ScheduleError(RuntimeError):
@@ -96,28 +99,33 @@ class FractionalSelection:
 
 
 def solve_relaxation(instance: Instance, omega: Fraction) -> FractionalSelection:
-    """Exact optimum of the windowed-area relaxation over a laminar family."""
+    """Exact optimum of the windowed-area relaxation over a laminar family.
+
+    With y_j = area_j * x_j the feasible region {0 <= y_j <= area_j,
+    y(chi) <= omega * m * |chi| for every family window chi} is a polymatroid,
+    because the capped sets form a laminar family.  Edmonds' greedy is
+    therefore optimal: visit jobs by decreasing density (ties by id) and give
+    each the most area that every family window containing its own still has
+    room for.  Zero-weight jobs add nothing and stay at 0."""
     omega = Fraction(omega)
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     windows = [job.window for job in instance.jobs]
     if not is_laminar(windows):
         raise ValueError("job windows are not laminar; transform the instance first")
-    if not instance.jobs:
-        return FractionalSelection({}, Fraction(0), omega)
-    jobs = sorted(instance.jobs, key=lambda j: j.id)
-    lp = LinearProgram("max")
-    col = {job.id: lp.add_variable(objective=job.weight, lo=0, hi=1) for job in jobs}
-    for node in forest_order(windows):
-        coeffs = {
-            col[job.id]: area(job) for job in jobs if node.contains(job.window)
-        }
-        lp.add_row(coeffs, "<=", omega * instance.hosts * node.size)
-    sol = lp_solve(lp)
-    if not sol.optimal:  # box-bounded and 0 is feasible: cannot happen
-        raise AssertionError(f"relaxation came back {sol.status}")
-    values = {job.id: sol.x[col[job.id]] for job in jobs}
-    return FractionalSelection(values, sol.objective, omega)
+    residual = {node: omega * instance.hosts * node.size for node in set(windows)}
+    values = {job.id: Fraction(0) for job in sorted(instance.jobs, key=lambda j: j.id)}
+    objective = Fraction(0)
+    for job in sorted(instance.jobs, key=lambda j: (-density(j), j.id)):
+        if job.weight == 0:
+            continue
+        above = [node for node in residual if node.contains(job.window)]
+        y = min([area(job)] + [residual[node] for node in above])
+        for node in above:
+            residual[node] -= y
+        values[job.id] = Fraction(y) / area(job)
+        objective += job.weight * values[job.id]
+    return FractionalSelection(values, objective, omega)
 
 
 # -- rounding ------------------------------------------------------------------

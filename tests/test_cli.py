@@ -388,3 +388,34 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, instance, schedule, 
     assert err.startswith("error:") and field in err
     assert "Traceback" not in err
     assert out == ""
+
+
+GOOD_SPEC = {"label": "g", "jobs": 3, "hosts": 2, "horizon": 4, "slack": "1/3"}
+
+
+def _batch_with(spec=None, **config):
+    return {"seed": 0, "gen": [{**GOOD_SPEC, **(spec or {})}], "solvers": ["laminar"], **config}
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (_batch_with({"jobs": 2.5}), "jobs"),
+        (_batch_with({"jobs": "3"}), "jobs"),
+        (_batch_with({"count": 2.5}), "count"),
+        (_batch_with({"laminar": "no"}), "laminar"),
+        (_batch_with({"dim": True}), "dim"),
+        (_batch_with(minr={"max_retries": 2.7}), "max_retries"),
+        ({"gen": [{"hosts": 2, "horizon": 4}]}, "jobs"),
+    ],
+    ids=["jobs-float", "jobs-string", "count-float", "laminar-string", "dim-bool",
+         "max-retries-float", "jobs-missing"],
+)
+def test_malformed_batch_config_is_a_clean_error(tmp_path, capsys, config, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "batch", str(cfg), "--out-dir", str(tmp_path / "b"))
+    assert code == 1
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+    assert out == ""

@@ -3,6 +3,7 @@ four solver entry points."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from slotsched.maxt import (
     utilization_bound,
 )
 from slotsched.oracle import OracleLimits, exact_maxt
+from slotsched.simplex import LinearProgram, solve as lp_solve
 
 
 def mk(jid, release, due, length, height, weight=None):
@@ -129,6 +131,70 @@ def test_relaxation_empty_instance():
     assert sel.objective == 0 and sel.values == {}
 
 
+def relaxation_lp(instance, omega):
+    """The relaxation as an explicit LP, solved by the exact simplex: one
+    box-bounded column per job and one area row per family window."""
+    jobs = sorted(instance.jobs, key=lambda j: j.id)
+    lp = LinearProgram("max")
+    col = {job.id: lp.add_variable(objective=job.weight, lo=0, hi=1) for job in jobs}
+    for node in forest_order(job.window for job in jobs):
+        coeffs = {col[job.id]: area(job) for job in jobs if node.contains(job.window)}
+        lp.add_row(coeffs, "<=", omega * instance.hosts * node.size)
+    sol = lp_solve(lp)
+    assert sol.optimal
+    return sol.objective, {job.id: sol.x[col[job.id]] for job in jobs}
+
+
+def test_relaxation_zero_weights_stay_at_zero():
+    # m=1, omega=1/2: [1,4] caps all three at area 2.  A (weight 2) takes
+    # area 1; a greedy that also filled the zero-weight B would raise x_B to
+    # 1 at no gain, which changes the selected set downstream.
+    a = mk(1, 1, 4, 1, 1, weight=2)
+    b = mk(2, 1, 2, 1, 1, weight=0)
+    c = mk(3, 3, 4, 1, 1, weight=0)
+    instance = inst([a, b, c])
+    sel = solve_relaxation(instance, Fraction(1, 2))
+    assert sel.objective == 2
+    assert sel.values == {1: Fraction(1), 2: Fraction(0), 3: Fraction(0)}
+    assert relaxation_lp(instance, Fraction(1, 2)) == (sel.objective, sel.values)
+    assert round_selection(instance, sel).selected == (1,)
+
+
+def test_relaxation_density_ties_fill_the_lower_id_first():
+    # m=1, omega=1/2: [1,4] holds area 2; three unit jobs of density 1 tie,
+    # so ids 1 and 2 fill and id 3 gets nothing, as the simplex also returns
+    jobs = [mk(jid, 1, 4, 1, 1, weight=1) for jid in (3, 1, 2)]
+    instance = inst(jobs)
+    sel = solve_relaxation(instance, Fraction(1, 2))
+    assert sel.values == {1: Fraction(1), 2: Fraction(1), 3: Fraction(0)}
+    assert relaxation_lp(instance, Fraction(1, 2)) == (sel.objective, sel.values)
+
+
+@pytest.mark.parametrize("weights", ["random-with-zeros", "area"])
+def test_relaxation_greedy_matches_simplex(weights):
+    rng = random.Random(f"relaxation:{weights}")
+    unique = 0
+    for _ in range(60):
+        instance = _laminar_instance(rng, hosts=rng.randint(1, 3), horizon=rng.randint(8, 16))
+        if weights == "area":
+            jobs = [replace(job, weight=None) for job in instance.jobs]
+        else:
+            jobs = [replace(job, weight=0) if rng.random() < 0.3 else job for job in instance.jobs]
+        instance = inst(jobs, hosts=instance.hosts)
+        omega = rng.choice([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)])
+        sel = solve_relaxation(instance, omega)
+        objective, values = relaxation_lp(instance, omega)
+        assert sel.objective == objective
+        assert list(sel.values) == sorted(sel.values)
+        assert all(sel.values[job.id] == 0 for job in jobs if job.weight == 0)
+        densities = [job.weight / area(job) for job in jobs if job.weight > 0]
+        if len(set(densities)) == len(densities):  # the optimum is unique
+            unique += 1
+            assert sel.values == values
+    if weights != "area":
+        assert unique >= 30
+
+
 def test_relaxation_respects_every_window_cap():
     rng = random.Random(7)
     for _ in range(25):
@@ -187,9 +253,10 @@ def test_rounding_rejects_bad_input():
 
 
 def test_rounding_never_loses_lp_profit_on_corpus():
+    # random weights, then area weights, under which every density ties
     rng = random.Random(11)
-    for _ in range(40):
-        instance = _laminar_instance(rng, hosts=rng.choice([1, 2, 3]), horizon=8)
+    for weights in ["random"] * 40 + ["area"] * 40:
+        instance = _laminar_instance(rng, hosts=rng.choice([1, 2, 3]), horizon=8, weights=weights)
         lam = slackness(instance)
         omega = omega_single(instance.hosts, lam)
         if omega <= 0:
@@ -383,10 +450,12 @@ def test_large_heights_rejects_bad_params():
 # -- corpora ------------------------------------------------------------------------
 
 
-def _laminar_instance(rng, hosts, horizon=8, lam=Fraction(1, 3), n=None, heights="mixed"):
+def _laminar_instance(
+    rng, hosts, horizon=8, lam=Fraction(1, 3), n=None, heights="mixed", weights="random"
+):
     """Random laminar instance: windows drawn from the split tree over
     [1, horizon], lengths at most lam * |window| (only nodes where that floor
-    is at least 1)."""
+    is at least 1).  weights="area" leaves every weight at the job's area."""
     tree = build_tree(horizon)
     nodes = [
         nd.window for nd in tree.nodes() if math.floor(nd.window.size * lam) >= 1
@@ -402,7 +471,8 @@ def _laminar_instance(rng, hosts, horizon=8, lam=Fraction(1, 3), n=None, heights
             s = Fraction(rng.randint(1, 4), 15)  # <= alpha(2, 1/3) = 4/15
         else:
             raise AssertionError(heights)
-        jobs.append(mk(jid, w.start, w.end, p, s, weight=rng.randint(1, 20)))
+        weight = rng.randint(1, 20) if weights == "random" else None
+        jobs.append(mk(jid, w.start, w.end, p, s, weight=weight))
     return inst(jobs, hosts=hosts)
 
 
