@@ -32,15 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from slotsched.laminar import forest_order, is_laminar, transform_instance
+from slotsched.laminar import forest_order, is_laminar, transform_instance, window_forest
 from slotsched.model import (
     Instance,
     Job,
     Schedule,
     area,
-    density,
     format_rational,
     schedule_to_json,
     slackness,
@@ -106,25 +106,48 @@ def solve_relaxation(instance: Instance, omega: Fraction) -> FractionalSelection
     because the capped sets form a laminar family.  Edmonds' greedy is
     therefore optimal: visit jobs by decreasing density (ties by id) and give
     each the most area that every family window containing its own still has
-    room for.  Zero-weight jobs add nothing and stay at 0."""
+    room for.  Zero-weight jobs add nothing and stay at 0.  Each job walks
+    its ancestor chain in the window forest, and every area, capacity and
+    density is an integer over one common denominator, so the only rationals
+    built are the returned values and objective."""
     omega = Fraction(omega)
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    windows = [job.window for job in instance.jobs]
-    if not is_laminar(windows):
+    parent = window_forest(job.window for job in instance.jobs)
+    if parent is None:
         raise ValueError("job windows are not laminar; transform the instance first")
-    residual = {node: omega * instance.hosts * node.size for node in set(windows)}
-    values = {job.id: Fraction(0) for job in sorted(instance.jobs, key=lambda j: j.id)}
-    objective = Fraction(0)
-    for job in sorted(instance.jobs, key=lambda j: (-density(j), j.id)):
-        if job.weight == 0:
+    # zero weights stay at 0; heights are read once per job
+    live = [(job, job.height) for job in instance.jobs if job.weight != 0]
+    # capacities and areas as ints over one scale, the lcm of their denominators;
+    # lists, never generators, are unpacked into calls here: CPython resizes a
+    # tuple built from a generator, and resized tuples pile up in its free list
+    scale = lcm(omega.denominator, *[h.denominator for _, h in live])
+    cap = omega.numerator * (scale // omega.denominator) * instance.hosts
+    residual: list[int] = []
+    above: dict = {}  # window -> indices of itself and its ancestors in residual
+    for node, up in parent.items():  # preorder: a parent's entry comes first
+        above[node] = [len(residual)] + (above[up] if up is not None else [])
+        residual.append(cap * node.size)
+    # densities weight/area as ints over one common denominator `unit`
+    scaled = []
+    for job, h in live:
+        a = job.length * h.numerator * (scale // h.denominator)
+        scaled.append((job, a, job.weight.denominator * a))
+    unit = lcm(*[qa for _, _, qa in scaled])
+    ranked = sorted(
+        (-job.weight.numerator * (unit // qa), job.id, a, job.window) for job, a, qa in scaled
+    )
+    values = dict.fromkeys(sorted(job.id for job in instance.jobs), Fraction(0))
+    total = 0  # objective * unit
+    for neg_density, jid, a, window in ranked:
+        y = min(a, min(residual[i] for i in above[window]))
+        if y == 0:
             continue
-        above = [node for node in residual if node.contains(job.window)]
-        y = min([area(job)] + [residual[node] for node in above])
-        for node in above:
-            residual[node] -= y
-        values[job.id] = Fraction(y) / area(job)
-        objective += job.weight * values[job.id]
+        for i in above[window]:
+            residual[i] -= y
+        values[jid] = Fraction(y, a)
+        total -= neg_density * y
+    objective = Fraction(total, unit)
     return FractionalSelection(values, objective, omega)
 
 
@@ -140,7 +163,9 @@ class RoundingResult:
 def round_selection(instance: Instance, selection: FractionalSelection | dict) -> RoundingResult:
     """Round a fractional selection to a job set, never losing LP profit when
     the input is LP-optimal.  Zeros stay zero; per window family node the
-    selected area exceeds the LP cap by at most lambda * m-th of the node."""
+    selected area exceeds the LP cap by at most lambda * m-th of the node.
+    Only jobs strictly between 0 and 1 move, so only their windows form the
+    forest walked here; they must be laminar (ValueError otherwise)."""
     values = dict(selection.values if isinstance(selection, FractionalSelection) else selection)
     jobs = {job.id: job for job in instance.jobs}
     for jid, x in values.items():
@@ -149,46 +174,56 @@ def round_selection(instance: Instance, selection: FractionalSelection | dict) -
         if not 0 <= x <= 1:
             raise ValueError(f"fractional value {x} for job {jid} outside [0, 1]")
 
-    def fractional(jid: int) -> bool:
-        return 0 < values[jid] < 1
+    # only fractional jobs ever move, and a move can only end a job's
+    # fractionality (donors fall toward 0, receivers rise toward 1)
+    frac = {jid for jid, x in values.items() if 0 < x < 1}
+    areas = {jid: area(jobs[jid]) for jid in frac}
+    key = {jid: (-jobs[jid].weight / areas[jid], jid) for jid in frac}  # densest first
 
     def move_area(donor: int, receiver: int) -> None:
-        a_d, a_r = area(jobs[donor]), area(jobs[receiver])
+        a_d, a_r = areas[donor], areas[receiver]
         give = min(a_d * values[donor], a_r * (1 - values[receiver]))
         values[donor] -= give / a_d
         values[receiver] += give / a_r
+        if values[donor] == 0:
+            frac.discard(donor)
+        if values[receiver] == 1:
+            frac.discard(receiver)
 
-    order = forest_order(job.window for job in instance.jobs if job.id in values)
-    by_density = lambda jid: (-density(jobs[jid]), jid)
+    parent = window_forest(jobs[jid].window for jid in frac)
+    if parent is None:
+        raise ValueError("windows of the fractional jobs are not laminar")
+    children: dict = {node: [] for node in parent}
+    bucket: dict = {node: [] for node in parent}
+    for node, up in parent.items():
+        if up is not None:
+            children[up].append(node)
+    for jid in frac:
+        bucket[jobs[jid].window].append(jid)
+    bottom_up = list(reversed(parent))  # preorder reversed: children first
 
     # one fractional job per window: push area toward the denser job
-    for node in order:
-        while True:
-            fracs = sorted(
-                (j for j in values if jobs[j].window == node and fractional(j)),
-                key=by_density,
-            )
-            if len(fracs) < 2:
-                break
+    for node in bottom_up:
+        fracs = sorted(bucket[node], key=key.__getitem__)
+        while len(fracs) > 1:
             move_area(fracs[-1], fracs[0])
+            fracs = [j for j in fracs if j in frac]
 
     # bottom-up: drain a node's fractional job into fractional jobs strictly
     # inside the node until it empties or they all saturate
-    for node in order:
-        here = [j for j in values if jobs[j].window == node and fractional(j)]
+    for node in bottom_up:
+        here = [j for j in bucket[node] if j in frac]
         if not here:
             continue
         (jid,) = here
-        below = sorted(
-            (
-                k
-                for k in values
-                if fractional(k) and jobs[k].window != node and node.contains(jobs[k].window)
-            ),
-            key=by_density,
-        )
-        for k in below:
-            if not fractional(jid):
+        below = []
+        stack = list(children[node])
+        while stack:
+            inner = stack.pop()
+            below.extend(k for k in bucket[inner] if k in frac)
+            stack.extend(children[inner])
+        for k in sorted(below, key=key.__getitem__):
+            if jid not in frac:
                 break
             move_area(jid, k)
 
@@ -210,6 +245,10 @@ class SlotBins:
         self.load: dict[tuple[int, int], Fraction] = {}
         self.color: dict[tuple[int, int], str] = {}
         self.pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
+        # per slot, kept by allocate_pairing: its gray bin's host, and how
+        # many hosts (always 1..k) are no longer white
+        self._gray: dict[int, int] = {}
+        self._colored: dict[int, int] = {}
 
     def load_of(self, h: int, t: int) -> Fraction:
         return self.load.get((h, t), Fraction(0))
@@ -220,11 +259,6 @@ class SlotBins:
     def place(self, h: int, t: int, height: Fraction) -> None:
         self.load[(h, t)] = self.load_of(h, t) + height
 
-    def bins_at(self, slots: Iterable[int]) -> list[tuple[int, int]]:
-        """(host, slot) pairs ordered lowest host first, then lowest slot."""
-        ordered = sorted(set(slots))
-        return [(h, t) for h in range(1, self.hosts + 1) for t in ordered]
-
     def allocate_pairing(self, job_id: int, height: Fraction, avail: Iterable[int]) -> tuple[int, int]:
         """One processing unit of a job into one slot of `avail`.
 
@@ -233,27 +267,40 @@ class SlotBins:
         black pair (their combined load then exceeds one); with no gray in
         reach, open the first white bin as the new gray.
         """
-        candidates = self.bins_at(avail)
-        grays = [b for b in candidates if self.color_of(*b) == GRAY]
-        if grays:
-            for b in grays:
-                if self.load_of(*b) + height <= 1:
-                    self.place(*b, height)
-                    return b
-            for b in candidates:
-                if self.color_of(*b) == WHITE:
-                    self.place(*b, height)
-                    self.color[grays[0]] = BLACK
-                    self.color[b] = BLACK
-                    self.pairs.append((grays[0], b))
-                    return b
-            raise ScheduleError(job_id, "no gray bin fits and no white bin available")
-        for b in candidates:
-            if self.color_of(*b) == WHITE:
-                self.place(*b, height)
-                self.color[b] = GRAY
-                return b
-        raise ScheduleError(job_id, "no white bin available to open")
+        # "first" is host-major: lowest host, then lowest slot.  A slot holds
+        # at most one gray (one opens only where none is in reach), and its
+        # non-white bins are hosts 1..k (each one colored was the first white),
+        # so the first white bin in a slot is host k + 1.
+        first_gray = first_fit = white = None
+        for t in avail:
+            k = self._colored.get(t, 0)
+            if k < self.hosts and (white is None or (k + 1, t) < white):
+                white = (k + 1, t)
+            h = self._gray.get(t)
+            if h is not None:
+                b = (h, t)
+                if first_gray is None or b < first_gray:
+                    first_gray = b
+                if self.load[b] + height <= 1 and (first_fit is None or b < first_fit):
+                    first_fit = b
+        if first_fit is not None:
+            self.place(*first_fit, height)
+            return first_fit
+        if white is None:
+            if first_gray is not None:
+                raise ScheduleError(job_id, "no gray bin fits and no white bin available")
+            raise ScheduleError(job_id, "no white bin available to open")
+        self.place(*white, height)
+        self._colored[white[1]] = white[0]
+        if first_gray is None:
+            self.color[white] = GRAY
+            self._gray[white[1]] = white[0]
+            return white
+        del self._gray[first_gray[1]]
+        self.color[first_gray] = BLACK
+        self.color[white] = BLACK
+        self.pairs.append((first_gray, white))
+        return white
 
     def open_host(self, t: int, cap: Fraction) -> int | None:
         """Lowest host whose bin at t is strictly less than `cap` full."""
@@ -327,6 +374,9 @@ class MaxTResult:
     path: str
     omega: Fraction | None = None
     lp_bound: Fraction | None = None
+    # jobs laminarization could not keep; empty whenever the slackness guards
+    # admit the instance (see solve_maxt_general), kept as the result's
+    # "dropped" key, which the benchmark's output checker reads
     dropped: tuple[int, ...] = ()
 
     def to_json(self) -> dict:
@@ -575,8 +625,10 @@ def solve_maxt_general(
 ) -> MaxTResult:
     """Arbitrary windows: laminarize (lambda inflates to at most 4*lambda),
     solve there, keep the schedule (mapped windows nest in the originals).
-    Jobs whose length no longer fits the mapped window are dropped and
-    reported in the result."""
+    Jobs whose length no longer fits the mapped window would be dropped and
+    reported in `dropped`, but the slackness guards keep that set empty: they
+    need lambda < 1/4, so every length is under a quarter of its window, and
+    a mapped window keeps at least a quarter of the original."""
     if not instance.jobs:
         return _empty_result(f"general-{variant}")
     lam = _resolve_lambda(instance, lam)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotsched.laminar import (
     build_tree,
@@ -13,6 +15,7 @@ from slotsched.laminar import (
     is_laminar,
     map_window,
     transform_instance,
+    window_forest,
 )
 from slotsched.model import Instance, Job, Schedule, TimeWindow, validate
 
@@ -27,6 +30,51 @@ def test_is_laminar_cases():
     # duplicates are laminar
     assert is_laminar([W(2, 2), W(2, 2)])
     assert is_laminar([])
+
+
+def _pairwise_laminar(windows):
+    return all(
+        a.contains(b) or b.contains(a) or not a.overlaps(b) for a in windows for b in windows
+    )
+
+
+_any_window = st.builds(lambda s, n: W(s, s + n), st.integers(1, 8), st.integers(0, 7))
+_tree_windows = st.lists(st.sampled_from(build_tree(12).windows()), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    windows=st.lists(_any_window, max_size=6)
+    | _tree_windows
+    | st.tuples(_tree_windows, _any_window).map(lambda p: p[0] + [p[1]])
+)
+def test_window_forest_matches_pairwise_check(windows):
+    laminar = _pairwise_laminar(windows)
+    parent = window_forest(windows)
+    assert (parent is not None) == laminar == is_laminar(windows)
+    if parent is None:
+        return
+    assert set(parent) == set(windows)
+    order = list(parent)
+    for w, up in parent.items():
+        containing = [v for v in set(windows) if v != w and v.contains(w)]
+        if up is None:
+            assert not containing
+        else:
+            assert up == min(containing, key=lambda v: v.size)
+            assert order.index(up) < order.index(w)
+
+
+def test_window_forest_cases():
+    assert window_forest([]) == {}
+    assert window_forest([W(2, 2), W(2, 2)]) == {W(2, 2): None}
+    assert window_forest([W(3, 4), W(1, 4), W(1, 2), W(1, 4), W(6, 6)]) == {
+        W(1, 4): None,
+        W(1, 2): W(1, 4),
+        W(3, 4): W(1, 4),
+        W(6, 6): None,
+    }
+    assert window_forest([W(1, 4), W(1, 2), W(2, 3)]) is None
 
 
 def test_tree_t4_nodes():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from slotsched.laminar import build_tree, forest_order
-from slotsched.model import Instance, Job, Schedule, area, slackness, validate
+from slotsched.model import Instance, Job, Schedule, area, density, slackness, validate
 from slotsched.maxt import (
     FractionalSelection,
     MaxTResult,
@@ -195,6 +195,37 @@ def test_relaxation_greedy_matches_simplex(weights):
         assert unique >= 30
 
 
+def test_relaxation_integer_scale_matches_simplex():
+    # 2-3 dimensional demands whose max component has denominator 7, 9, 10
+    # or 12, and omegas such as 7/20 and 5/12: the common integer scale of
+    # capacities and areas mixes all of them
+    rng = random.Random("relaxation:scale")
+    unique = 0
+    for _ in range(50):
+        horizon = rng.randint(8, 16)
+        nodes = [nd.window for nd in build_tree(horizon).nodes() if nd.window.size >= 2]
+        dim = rng.randint(2, 3)
+        jobs = []
+        for jid in range(1, rng.randint(2, 9) + 1):
+            w = rng.choice(nodes)
+            demand = tuple(
+                Fraction(rng.randint(1, den), den) for den in rng.choices([7, 9, 10, 12], k=dim)
+            )
+            weight = rng.choice([0, Fraction(rng.randint(1, 30), rng.randint(1, 6))])
+            jobs.append(Job(jid, w.start, w.end, rng.randint(1, w.size // 2), demand, weight))
+        instance = Instance(hosts=rng.randint(1, 3), dim=dim, jobs=jobs)
+        omega = rng.choice([Fraction(7, 20), Fraction(5, 12), Fraction(3, 7), Fraction(2, 9)])
+        sel = solve_relaxation(instance, omega)
+        objective, values = relaxation_lp(instance, omega)
+        assert sel.objective == objective
+        assert all(sel.values[job.id] == 0 for job in jobs if job.weight == 0)
+        densities = [density(job) for job in jobs if job.weight > 0]
+        if len(set(densities)) == len(densities):
+            unique += 1
+            assert sel.values == values
+    assert unique >= 30
+
+
 def test_relaxation_respects_every_window_cap():
     rng = random.Random(7)
     for _ in range(25):
@@ -276,6 +307,89 @@ def test_rounding_never_loses_lp_profit_on_corpus():
                     assert not (wi.contains(wj) or wj.contains(wi))
 
 
+def _reference_round(instance, values):
+    """The rounding as a scan over every job per window (the former
+    implementation), kept to pin round_selection's output."""
+    values = dict(values)
+    jobs = instance.job_map()
+
+    def fractional(jid):
+        return 0 < values[jid] < 1
+
+    def move_area(donor, receiver):
+        a_d, a_r = area(jobs[donor]), area(jobs[receiver])
+        give = min(a_d * values[donor], a_r * (1 - values[receiver]))
+        values[donor] -= give / a_d
+        values[receiver] += give / a_r
+
+    order = forest_order(jobs[j].window for j in values)
+    by_density = lambda jid: (-density(jobs[jid]), jid)
+    for node in order:
+        while True:
+            fracs = sorted(
+                (j for j in values if jobs[j].window == node and fractional(j)), key=by_density
+            )
+            if len(fracs) < 2:
+                break
+            move_area(fracs[-1], fracs[0])
+    for node in order:
+        here = [j for j in values if jobs[j].window == node and fractional(j)]
+        if not here:
+            continue
+        (jid,) = here
+        below = sorted(
+            (
+                k
+                for k in values
+                if fractional(k) and jobs[k].window != node and node.contains(jobs[k].window)
+            ),
+            key=by_density,
+        )
+        for k in below:
+            if not fractional(jid):
+                break
+            move_area(jid, k)
+    return tuple(sorted(j for j, x in values.items() if x > 0)), values
+
+
+def test_rounding_matches_reference_scan_on_arbitrary_values():
+    # arbitrary (not LP-optimal) values, mostly fractional, several per
+    # window, keyed in random order and often for a subset of the jobs only
+    rng = random.Random("rounding:reference")
+    moved = 0
+    for _ in range(150):
+        instance = _laminar_instance(
+            rng, hosts=rng.randint(1, 3), horizon=rng.choice([8, 16]), n=rng.randint(1, 14),
+            weights=rng.choice(["random", "area"]),
+        )
+        ids = [j.id for j in instance.jobs]
+        rng.shuffle(ids)
+        if rng.random() < 0.5:
+            ids = ids[: rng.randint(0, len(ids))]
+        values = {
+            jid: rng.choice([Fraction(0), Fraction(1)] + [Fraction(rng.randint(1, 11), 12)] * 3)
+            for jid in ids
+        }
+        rr = round_selection(instance, values)
+        selected, adjusted = _reference_round(instance, values)
+        assert rr.selected == selected
+        assert list(rr.adjusted.items()) == list(adjusted.items())
+        moved += rr.adjusted != values
+    assert moved >= 75
+
+
+def test_rounding_needs_laminar_fractional_windows():
+    a = mk(1, 1, 3, 1, 1, weight=1)
+    b = mk(2, 2, 4, 1, 1, weight=2)
+    c = mk(3, 1, 4, 1, 1, weight=3)
+    instance = inst([a, b, c])
+    # crossing windows are fine while one of the two is integral
+    values = {1: Fraction(1), 2: Fraction(1, 2), 3: Fraction(1, 2)}
+    assert round_selection(instance, values).selected == _reference_round(instance, values)[0]
+    with pytest.raises(ValueError, match="not laminar"):
+        round_selection(instance, {1: Fraction(1, 2), 2: Fraction(1, 2)})
+
+
 # -- bin mechanics ------------------------------------------------------------------
 
 
@@ -308,6 +422,64 @@ def test_pairing_fails_without_white_bin():
 def test_pairing_respects_avail_restriction():
     bins = SlotBins(hosts=1, horizon=4)
     assert bins.allocate_pairing(1, Fraction(1, 2), [3, 4]) == (1, 3)
+
+
+class _ReferenceBins(SlotBins):
+    """allocate_pairing as a scan over every bin of `avail` in host-major
+    order (the former implementation), kept to pin the per-slot state."""
+
+    def allocate_pairing(self, job_id, height, avail):
+        ordered = sorted(set(avail))
+        candidates = [(h, t) for h in range(1, self.hosts + 1) for t in ordered]
+        grays = [b for b in candidates if self.color_of(*b) == "gray"]
+        if grays:
+            for b in grays:
+                if self.load_of(*b) + height <= 1:
+                    self.place(*b, height)
+                    return b
+            for b in candidates:
+                if self.color_of(*b) == "white":
+                    self.place(*b, height)
+                    self.color[grays[0]] = "black"
+                    self.color[b] = "black"
+                    self.pairs.append((grays[0], b))
+                    return b
+            raise ScheduleError(job_id, "no gray bin fits and no white bin available")
+        for b in candidates:
+            if self.color_of(*b) == "white":
+                self.place(*b, height)
+                self.color[b] = "gray"
+                return b
+        raise ScheduleError(job_id, "no white bin available to open")
+
+
+def _allocate(bins, unit, height, avail):
+    try:
+        return bins.allocate_pairing(unit, height, avail)
+    except ScheduleError as exc:
+        return str(exc)
+
+
+def test_pairing_matches_reference_scan():
+    rng = random.Random("pairing:reference")
+    errors = {"no gray bin fits": 0, "no white bin available to open": 0}
+    for _ in range(300):
+        hosts, horizon = rng.randint(1, 4), rng.randint(1, 6)
+        bins, ref = SlotBins(hosts, horizon), _ReferenceBins(hosts, horizon)
+        for unit in range(rng.randint(1, 3 * hosts * horizon)):
+            height = Fraction(rng.randint(1, 12), rng.choice([2, 3, 4, 5, 12]))
+            height = min(height, Fraction(1))
+            # unsorted, sometimes with repeats or empty
+            avail = rng.choices(range(1, horizon + 1), k=rng.randint(0, horizon))
+            got = _allocate(bins, unit, height, avail)
+            assert got == _allocate(ref, unit, height, avail)
+            for prefix in errors:
+                errors[prefix] += isinstance(got, str) and prefix in got
+        assert list(bins.load.items()) == list(ref.load.items())
+        assert list(bins.color.items()) == list(ref.color.items())
+        assert bins.pairs == ref.pairs
+    # runs exhaust the white bins, with and without a gray in reach
+    assert min(errors.values()) >= 20
 
 
 def test_open_host_strict_threshold():
