@@ -264,9 +264,9 @@ def solve_config_lp(instance: Instance) -> ConfigLpResult:
         columns=columns,
         column_count=len(configs),
         slots=tuple(slots),
-        alpha={j.id: sol.duals[job_row[j.id]] for j in jobs},
-        beta={key: sol.duals[row] for key, row in pair_row.items()},
-        gamma={t: sol.duals[row] for t, row in slot_row.items()},
+        alpha=alpha,
+        beta=beta,
+        gamma=gamma,
         iterations=len(trace),
         trace=tuple(trace),
     )
@@ -442,42 +442,100 @@ class MinRParams:
             raise ValueError(f"max_retries must be at least 1, got {self.max_retries}")
 
 
-def log2_factor(dim: int) -> Fraction | float:
-    """max(1, log2 dim); exact for powers of two."""
+def _power_bounds(n: int, power: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, shift) with lo * 2^shift <= n^power <= hi * 2^shift, for
+    n >= 1: square-and-multiply that keeps `bits`-bit mantissas, rounding
+    lo down and hi up.  Exact (lo == hi) once no product exceeds `bits`."""
+    lo = hi = 1
+    base_lo = base_hi = n
+    shift = base_shift = 0
+
+    def trim(lo: int, hi: int, shift: int) -> tuple[int, int, int]:
+        drop = max(0, hi.bit_length() - bits)
+        return lo >> drop, -(-hi >> drop), shift + drop
+
+    while power:
+        if power & 1:
+            lo, hi, shift = trim(lo * base_lo, hi * base_hi, shift + base_shift)
+        power >>= 1
+        if power:
+            base_lo, base_hi, base_shift = trim(
+                base_lo * base_lo, base_hi * base_hi, 2 * base_shift
+            )
+    return lo, hi, shift
+
+
+def _ceil_log2(q: Fraction | int, power: int = 1) -> int:
+    """The least e with 2^e >= q^power, for rational q > 0 and power >= 0.
+
+    For a ratio n/m of positive integers, with e0 = bit length of n less
+    that of m, n/m lies strictly between 2^(e0-1) and 2^(e0+1), so the
+    answer is e0 or e0 + 1.  q^power itself is never built: its numerator
+    and denominator are bracketed by _power_bounds, and the precision
+    doubles until both ends of the bracket give the same answer, which is
+    then exact (it ends at the latest when the bracket is exact)."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError(f"log2 needs a positive argument, got {q}")
+
+    def ratio(n: int, m: int) -> int:
+        e = n.bit_length() - m.bit_length()
+        at_most = n <= m << e if e >= 0 else n << -e <= m
+        return e if at_most else e + 1
+
+    bits = 64
+    while True:
+        n_lo, n_hi, n_shift = _power_bounds(q.numerator, power, bits)
+        m_lo, m_hi, m_shift = _power_bounds(q.denominator, power, bits)
+        low = ratio(n_lo, m_hi) + n_shift - m_shift
+        if low == ratio(n_hi, m_lo) + n_shift - m_shift:
+            return low
+        bits *= 2
+
+
+def log2_factor(dim: int) -> int:
+    """max(1, ceil(log2 dim)): log2 d for powers of two, rounded up otherwise."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    if dim & (dim - 1) == 0:
-        return Fraction(max(1, dim.bit_length() - 1))
-    return max(1.0, math.log2(dim))
+    return max(1, _ceil_log2(dim))
+
+
+def _gamma(dim: int, theta: Fraction) -> Fraction:
+    """theta * d^2 * max(1, ceil(log2 d)): the scale of the window condition
+    and of the psi recursion."""
+    return Fraction(theta) * dim * dim * log2_factor(dim)
 
 
 def draw_count(c: Fraction, m_int: int, dim: int) -> int:
     """Phase-1 hosts: ceil(c * m_int * max(1, log2 d)), in integers.
 
-    With c * m_int = P/Q and b = max(d, 2), this is the smallest k with
-    2^(k*Q) >= b^P, i.e. k*Q >= log2(b^P).  That logarithm is the bit
-    length of b^P less one when b^P is a power of two; otherwise it lies
-    strictly inside (bit length - 1, bit length), and k*Q, an integer, is
-    at least it exactly when it is at least the bit length."""
+    Unlike log2_factor this keeps the real log2 d.  With c * m_int = P/Q and
+    b = max(d, 2), this is the smallest k with 2^(k*Q) >= b^P, i.e. k*Q >=
+    log2(b^P); k*Q is an integer, so that holds exactly when k*Q is at least
+    ceil(log2(b^P))."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     product = Fraction(c) * m_int
     if product < 0:
         raise ValueError(f"c * m_int must be non-negative, got {product}")
-    power = max(dim, 2) ** product.numerator
-    bits = power.bit_length() - (power & (power - 1) == 0)
+    bits = _ceil_log2(max(dim, 2), product.numerator)
     return -(-bits // product.denominator)
 
 
 def window_condition_threshold(
     horizon: int, dim: int, m_int: int, params: MinRParams
-) -> float:
-    """Window length above which the concentration guarantee is designed to
-    hold: theta * d^2 * max(1, log2 d) * log2(T / sqrt(epsilon)) / m."""
+) -> int:
+    """Least window size at which the concentration guarantee is designed to
+    hold: size >= gamma * log2(T / sqrt(epsilon)) / m.
+
+    With gamma = p/q that reads 2*m*q*size >= log2((T^2/epsilon)^p); the
+    left side is an integer, so it holds exactly when size is at least
+    ceil(ceil(log2((T^2/epsilon)^p)) / (2*m*q)).  0 when m or T is 0."""
     if m_int == 0 or horizon == 0:
-        return 0.0
-    t_term = math.log2(horizon / math.sqrt(float(params.epsilon)))
-    return float(params.theta) * dim * dim * float(log2_factor(dim)) * t_term / m_int
+        return 0
+    gamma = _gamma(dim, params.theta)
+    bits = _ceil_log2(Fraction(horizon * horizon) / params.epsilon, gamma.numerator)
+    return -(-bits // (2 * m_int * gamma.denominator))
 
 
 @dataclass(frozen=True)
@@ -488,7 +546,7 @@ class ResidualAreaReport:
     violations: int
     qualifying_checked: int
     qualifying_violations: int
-    threshold: float  # qualifying interval length
+    threshold: int  # least qualifying interval length
     worst_ratio: float  # max residual area / bound over checked intervals
 
     @property
@@ -599,7 +657,7 @@ class MinRResult:
     residual_stats: ResidualAreaReport
     window_condition_met: int
     window_condition_total: int
-    window_threshold: float
+    window_threshold: int
 
     def to_json(self) -> dict:
         return {
@@ -638,7 +696,7 @@ def solve_minr(
     lpsol = solve_config_lp(instance)
     m_int = lpsol.m_int
     horizon = instance.horizon
-    tree = build_tree(horizon) if horizon else None
+    tree = build_tree(max(horizon, 1))
     threshold = window_condition_threshold(horizon, instance.dim, m_int, params)
     met = sum(1 for j in instance.jobs if j.window.size >= threshold)
 
@@ -648,10 +706,9 @@ def solve_minr(
         m1 = draw_count(c_eff, m_int, instance.dim)
         chosen = sample_configurations(instance, lpsol, m1, seed=f"{seed}:a{attempt}")
         residuals, kept = build_residual(instance, chosen)
-        work_tree = tree or build_tree(1)
-        schedulable, fallback = split_residuals(residuals, work_tree)
+        schedulable, fallback = split_residuals(residuals, tree)
         try:
-            phase2, bins2 = schedule_residual(schedulable, m_int, work_tree)
+            phase2, bins2 = schedule_residual(schedulable, m_int, tree)
         except ScheduleError:
             continue
 
@@ -706,35 +763,44 @@ def solve_minr(
 
 @dataclass(frozen=True)
 class PsiPartition:
-    gamma: float
-    psi: tuple[float, ...]  # psi[0] = 0 sentinel; psi[kappa] == horizon
+    gamma: Fraction
+    psi: tuple[int, ...]  # psi[0] = 0 sentinel; psi[kappa] == horizon
     kappa: int
     horizon: int
 
-    def ranges(self) -> list[tuple[float, float]]:
+    def ranges(self) -> list[tuple[int, int]]:
         """Window-size buckets (lo exclusive, hi inclusive] covering (0, T]."""
         return [(self.psi[w], self.psi[w + 1]) for w in range(self.kappa)]
 
 
 def psi_table(horizon: int, dim: int, theta: Fraction = Fraction(1)) -> PsiPartition:
-    """The recursion psi(1) = 4*ceil(gamma^2), psi(i) = min(T, 2^(psi(i-1)/2gamma))
-    with gamma = theta * d^2 * max(1, log2 d), capped at T.  Guards: the
-    exponent is compared against log2 T before exponentiating (no overflow),
-    and a non-increasing step jumps straight to T (the recursion has provably
-    escaped its growth regime, e.g. tiny gamma)."""
+    """The recursion psi(1) = 4*ceil(gamma^2), psi(i) = floor(2^(psi(i-1)/2gamma))
+    with gamma = theta * d^2 * max(1, ceil(log2 d)), capped at T.  It runs on
+    the integers, so psi(i-1) >= 2gamma*log2 psi(i) holds exactly; window
+    sizes are integers, so the floor keeps every window of the real bound
+    2^(psi(i-1)/2gamma) in its bucket.
+
+    With exponent a/b = psi(i-1)/2gamma the cap holds when a >= log2(T^b),
+    and below it psi(i) is the largest k with k^b <= 2^a, found bit by bit
+    from 2^(a//b).  A non-increasing step jumps straight to T (the recursion
+    has provably escaped its growth regime, e.g. tiny gamma)."""
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    gamma = float(theta) * dim * dim * float(log2_factor(dim))
-    psi = [0.0, float(min(horizon, 4 * math.ceil(gamma * gamma)))]
+    gamma = _gamma(dim, theta)
+    psi = [0, min(horizon, 4 * math.ceil(gamma * gamma))]
     while psi[-1] < horizon:
         prev = psi[-1]
         exponent = prev / (2 * gamma)
-        if exponent >= math.log2(horizon):
-            nxt = float(horizon)
+        a, b = exponent.numerator, exponent.denominator
+        if a >= _ceil_log2(horizon, b):
+            nxt = horizon
         else:
-            nxt = min(float(horizon), 2.0**exponent)
+            nxt = 1 << (a // b)
+            for bit in reversed(range(a // b)):
+                if _ceil_log2(nxt | (1 << bit), b) <= a:
+                    nxt |= 1 << bit
         if nxt <= prev:
-            nxt = float(horizon)
+            nxt = horizon
         psi.append(nxt)
     return PsiPartition(
         gamma=gamma, psi=tuple(psi), kappa=len(psi) - 1, horizon=horizon
@@ -781,7 +847,7 @@ class PartitionResult:
 
     def to_json(self) -> dict:
         return {
-            "gamma": self.partition.gamma,
+            "gamma": format_rational(self.partition.gamma),
             "psi": list(self.partition.psi[1:]),
             "kappa": self.partition.kappa,
             "total_hosts": self.total_hosts,
@@ -825,12 +891,11 @@ def partition_by_window(
     pools: list[tuple[int, int]] = []
     base = 0
     merged: dict[int, set[tuple[int, int]]] = {}
-    for w, (lo, hi) in enumerate(part.ranges()):
+    for w, (_, block) in enumerate(part.ranges()):
         jobs_here = range_jobs.get(w, [])
         if not jobs_here:
             pools.append((0, 0))
             continue
-        block = math.ceil(hi)
         odd_slabs, even_slabs = slab_windows(block, horizon)
         groups: dict[tuple[str, TimeWindow], list[Job]] = {}
         for job in jobs_here:

@@ -61,9 +61,6 @@ class TimeWindow:
         if self.start < 1 or self.end < self.start:
             raise ValueError(f"bad window [{self.start}, {self.end}]")
 
-    def __len__(self) -> int:
-        return self.end - self.start + 1
-
     @property
     def size(self) -> int:
         return self.end - self.start + 1
@@ -177,10 +174,6 @@ def slackness(instance: Instance) -> Fraction:
         (Fraction(job.length, job.window.size) for job in instance.jobs),
         default=Fraction(0),
     )
-
-
-def total_area(jobs: Iterable[Job]) -> Fraction:
-    return sum((area(job) for job in jobs), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 Every criterion prints `criterion NN: PASS/FAIL — detail` (echoed into the
 pytest terminal summary by conftest).  All scheduling arithmetic is exact
-rational; the only tolerance in this file is the 1e-9 slack on the
-floating-point psi-recursion inequality of criterion 9, stated there.
+rational.
 """
 
 import itertools
@@ -422,11 +421,12 @@ def test_criterion_09_psi_partition_and_driver():
         for horizon in (2**10, 2**16, 2**20):
             part = psi_table(horizon, dim)
             psi = part.psi
+            p, q = part.gamma.numerator, part.gamma.denominator
             if part.kappa > _log_star(horizon) + 3:
                 psi_bad += 1
             for i in range(1, part.kappa):
-                # 1e-9 slack: psi is floating point by construction
-                if psi[i] > psi[i + 1] or psi[i] < 2 * part.gamma * math.log2(psi[i + 1]) - 1e-9:
+                # psi(i) >= 2*gamma*log2 psi(i+1), raised to integer powers
+                if psi[i] > psi[i + 1] or 2 ** (psi[i] * q) < psi[i + 1] ** (2 * p):
                     psi_bad += 1
 
     rng = random.Random("acc9")
@@ -457,7 +457,7 @@ def test_criterion_09_psi_partition_and_driver():
     _verdict(
         9,
         psi_bad == 0 and cover_ok and report.feasible,
-        "psi monotone with psi(i) >= 2*gamma*log2 psi(i+1) (1e-9 float slack) "
+        "psi monotone with psi(i) >= 2*gamma*log2 psi(i+1) (exact) "
         "and kappa <= log*T + 3 for d in {2,4,8} up to T=2^20; partition driver "
         f"covered each job exactly once and the merged schedule validated "
         f"({psi_bad} psi violations, cover {'ok' if cover_ok else 'BROKEN'})",

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slotsched import minr
 from slotsched.laminar import build_tree, map_window
@@ -405,11 +407,13 @@ def test_log2_factor_and_draw_count():
     assert log2_factor(2) == 1
     assert log2_factor(4) == 2
     assert log2_factor(8) == 3
-    assert abs(log2_factor(3) - math.log2(3)) < 1e-12
+    assert log2_factor(3) == 2  # ceil(log2 3)
     assert draw_count(Fraction(6), 2, 1) == 12
     assert draw_count(Fraction(6), 2, 4) == 24
     with pytest.raises(ValueError):
         log2_factor(0)
+    with pytest.raises(ValueError):
+        minr._ceil_log2(0)
 
 
 @pytest.mark.parametrize("dim", [3, 5, 6, 7, 12])
@@ -431,7 +435,55 @@ def test_window_condition_threshold_scales():
     assert base > 0
     assert window_condition_threshold(64, 4, 2, params) > base  # more dims
     assert window_condition_threshold(64, 2, 4, params) < base  # more hosts
-    assert window_condition_threshold(64, 2, 0, params) == 0.0
+    assert window_condition_threshold(64, 2, 0, params) == 0
+    assert window_condition_threshold(0, 2, 2, params) == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 8])
+def test_window_condition_threshold_is_the_least_qualifying_size(dim):
+    # with gamma = p/q, size s qualifies when s >= gamma * log2(T/sqrt(eps)) / m,
+    # i.e. 2^(2*m*q*s) >= (T^2/eps)^p; s meets it and s - 1 does not
+    for theta in (Fraction(1), Fraction(1, 32), Fraction(3, 7)):
+        for epsilon in (Fraction(1, 10), Fraction(1, 2), Fraction(99, 100)):
+            params = MinRParams(theta=theta, epsilon=epsilon)
+            gamma = theta * dim * dim * log2_factor(dim)
+            p, q = gamma.numerator, gamma.denominator
+            for horizon in (1, 2, 7, 64, 1000):
+                target = (Fraction(horizon * horizon) / epsilon) ** p
+                for m_int in (1, 2, 3, 17):
+                    s = window_condition_threshold(horizon, dim, m_int, params)
+                    assert s >= 1
+                    assert 2 ** (2 * m_int * q * s) >= target
+                    assert 2 ** (2 * m_int * q * (s - 1)) < target
+
+
+def _least_power_of_two_at_or_above(x: Fraction) -> int:
+    # x lies above 2^(e - 1) for this e; step up until 2^e reaches x
+    e = x.numerator.bit_length() - x.denominator.bit_length() - 1
+    while Fraction(2) ** e < x:
+        e += 1
+    return e
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 2**200), max_value=2**200)
+    | st.integers(min_value=1, max_value=2**200),
+    st.integers(min_value=0, max_value=300),
+)
+@example(1, 1)
+@example(2**40, 1)
+@example(2**40 + 1, 1)
+@example(2**100 + 1, 1)  # more bits than the first mantissa width
+@example(Fraction(3, 8), 1)
+@example(Fraction(2**100 + 1, 2**100), 3)  # q^power just above a power of two
+@example(Fraction(2**100 - 1, 2**100), 3)  # and just below
+@example(Fraction(3**40, 2**63), 40)
+@example(1597139675139416931391658226011, 3)  # floor(2^(301/3)): cube just below 2^301
+@example(Fraction(1, 1597139675139416931391658226011), 3)
+@example(Fraction(1, 1597139675139416931391658226012), 3)  # cube just above 2^301
+def test_ceil_log2_matches_brute_force(q, power):
+    assert minr._ceil_log2(q, power) == _least_power_of_two_at_or_above(Fraction(q) ** power)
 
 
 def test_residual_area_report_empty():
@@ -582,25 +634,59 @@ def test_solve_minr_retry_escalates_c(monkeypatch):
 
 def test_psi_frozen_example():
     part = psi_table(100, 2, Fraction(1))
-    assert part.gamma == 4.0
-    assert part.psi[1] == 64.0
-    assert part.psi[2] == 100.0
+    assert part.gamma == 4 and isinstance(part.gamma, Fraction)
+    assert part.psi == (0, 64, 100)
+    assert all(type(v) is int for v in part.psi)
     assert part.kappa == 2
-    assert part.ranges() == [(0.0, 64.0), (64.0, 100.0)]
+    assert part.ranges() == [(0, 64), (64, 100)]
 
 
 def test_psi_single_range_when_horizon_small():
     part = psi_table(50, 2, Fraction(1))
     assert part.kappa == 1
-    assert part.ranges() == [(0.0, 50.0)]
+    assert part.ranges() == [(0, 50)]
 
 
 def test_psi_stall_guard_jumps_to_horizon():
     # gamma = 1 stalls at 4 = 2^(4/2); the guard forces the cap.
     part = psi_table(1000, 1, Fraction(1))
-    assert part.psi[1] == 4.0
-    assert part.psi[2] == 1000.0
+    assert part.psi == (0, 4, 1000)
     assert part.kappa == 2
+
+
+def _float_psi_table(horizon: int, dim: int, theta: Fraction) -> list[float]:
+    """The former float recursion, kept as a reference: real gamma with
+    log2 d (exact for the powers of two used here), real psi values."""
+    gamma = float(theta) * dim * dim * max(1.0, math.log2(dim))
+    psi = [0.0, float(min(horizon, 4 * math.ceil(gamma * gamma)))]
+    while psi[-1] < horizon:
+        prev = psi[-1]
+        exponent = prev / (2 * gamma)
+        if exponent >= math.log2(horizon):
+            nxt = float(horizon)
+        else:
+            nxt = min(float(horizon), 2.0**exponent)
+        if nxt <= prev:
+            nxt = float(horizon)
+        psi.append(nxt)
+    return psi
+
+
+def test_psi_is_the_floor_of_the_float_recursion():
+    thetas = (Fraction(1), Fraction(1, 2), Fraction(1, 16), Fraction(1, 32), Fraction(3, 7))
+    horizons = [*range(1, 300), 1000, 1024, 4096, 2**16, 10**5, 2**20, 10**6]
+    tables = fractional = 0
+    for dim in (1, 2, 4, 8):
+        for theta in thetas:
+            for horizon in horizons:
+                reference = _float_psi_table(horizon, dim, theta)
+                assert psi_table(horizon, dim, theta).psi == tuple(
+                    math.floor(v) for v in reference
+                ), (horizon, dim, theta)
+                tables += 1
+                fractional += any(v != math.floor(v) for v in reference)
+    assert tables == 6120
+    assert fractional > 0  # the floor is exercised, not only integer psi
 
 
 def _log_star(x: float) -> int:
@@ -611,15 +697,32 @@ def _log_star(x: float) -> int:
     return n
 
 
+def test_psi_and_threshold_with_a_float_derived_theta():
+    # Fraction(0.3) has a 53-bit numerator: the powers behind these answers
+    # have ~10^16-digit exponents and must never be built
+    theta = Fraction(0.3)
+    part = psi_table(1000, 2, theta)
+    gamma = float(part.gamma)
+    assert part.psi == (0, 8, 10, 17, 135, 1000)
+    for i in range(2, part.kappa):
+        assert part.psi[i] == math.floor(2 ** (part.psi[i - 1] / (2 * gamma)))
+    params = MinRParams(theta=theta)
+    expected = math.ceil(gamma * math.log2(1000 / math.sqrt(0.1)) / 2)
+    assert window_condition_threshold(1000, 2, 2, params) == expected == 7
+    assert draw_count(Fraction(6.1), 3, 3) == math.ceil(6.1 * 3 * math.log2(3))
+
+
 def test_psi_invariants_numeric():
     for dim in (2, 4, 8):
         for horizon in (1024, 2**16, 2**20):
             part = psi_table(horizon, dim, Fraction(1))
             psi = part.psi
-            assert psi[part.kappa] == float(horizon)
+            p, q = part.gamma.numerator, part.gamma.denominator
+            assert psi[part.kappa] == horizon
             for i in range(1, part.kappa):
                 assert psi[i] <= psi[i + 1]
-                assert psi[i] >= 2 * part.gamma * math.log2(psi[i + 1]) - 1e-9
+                # psi(i) >= 2*gamma*log2 psi(i+1), raised to integer powers
+                assert 2 ** (psi[i] * q) >= psi[i + 1] ** (2 * p)
             assert part.kappa <= _log_star(horizon) + 3
 
 
