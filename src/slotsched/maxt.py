@@ -200,19 +200,17 @@ def round_selection(instance: Instance, selection: FractionalSelection | dict) -
             children[up].append(node)
     for jid in frac:
         bucket[jobs[jid].window].append(jid)
-    bottom_up = list(reversed(parent))  # preorder reversed: children first
 
-    # one fractional job per window: push area toward the denser job
-    for node in bottom_up:
-        fracs = sorted(bucket[node], key=key.__getitem__)
-        while len(fracs) > 1:
-            move_area(fracs[-1], fracs[0])
-            fracs = [j for j in fracs if j in frac]
-
-    # bottom-up: drain a node's fractional job into fractional jobs strictly
-    # inside the node until it empties or they all saturate
-    for node in bottom_up:
-        here = [j for j in bucket[node] if j in frac]
+    # bottom-up, per node: leave one fractional job in its window by pushing
+    # area toward the denser job, then drain that job into fractional jobs
+    # strictly inside the node until it empties or they all saturate.  Both
+    # steps touch only the node and its subtree, which reversed preorder
+    # finishes first.
+    for node in reversed(parent):
+        here = sorted(bucket[node], key=key.__getitem__)
+        while len(here) > 1:
+            move_area(here[-1], here[0])
+            here = [j for j in here if j in frac]
         if not here:
             continue
         (jid,) = here

@@ -163,73 +163,53 @@ def solve_config_lp(instance: Instance) -> ConfigLpResult:
     Rows (all >=): per covered slot t, m - sum of x_C at t >= 0; per (job,
     slot) in the job's window, -sum of x_C containing the job at t >= -1;
     per job, sum of x_C containing it >= length.  Slots no window covers
-    never carry a configuration, so they get no row.  Seed columns are
-    singletons at each job's first `length` window slots, which are feasible
-    on their own.  Each pass prices every covered slot and adds every
-    improving column, until a full pass adds none.  The trace records, per
-    master solve, the objective and the (always zero) worst exact constraint
-    violation.
+    never carry a configuration, so they get no row.  The rows start with no
+    column entries, and every column enters through the same `add_column`
+    path: first the seeds, singletons at each job's first `length` window
+    slots, which are feasible on their own; then, in each pass, one column
+    per covered slot whose priced configuration improves, until a full pass
+    adds none.  The trace records, per master solve, the objective, the
+    columns added since the previous solve and the (always zero) worst exact
+    constraint violation.
     """
     jobs = sorted(instance.jobs, key=lambda j: j.id)
     slots = sorted({t for job in jobs for t in job.window.slots()})
     lp = LinearProgram("min")
     m_var = lp.add_variable(objective=1)
+    slot_row = {t: lp.add_row({m_var: 1}, ">=", 0) for t in slots}
+    pair_row = {
+        (job.id, t): lp.add_row({}, ">=", -1) for job in jobs for t in job.window.slots()
+    }
+    job_row = {job.id: lp.add_row({}, ">=", job.length) for job in jobs}
 
-    col_of: dict[tuple[int, tuple[int, ...]], int] = {}
     configs: list[Configuration] = []  # index-aligned with column variables
+    keys: set[tuple[int, tuple[int, ...]]] = set()
 
-    def new_config(c: Configuration) -> int:
-        var = lp.add_variable(objective=0)
-        col_of[c.key] = var
+    def add_config(c: Configuration) -> None:
+        assert c.key not in keys, "priced an existing column"
+        entries = {slot_row[c.slot]: -1}
+        for jid in c.jobs:
+            entries[pair_row[(jid, c.slot)]] = -1
+            entries[job_row[jid]] = 1
+        lp.add_column(0, entries)
+        keys.add(c.key)
         configs.append(c)
-        return var
 
-    seeds: dict[int, list[int]] = {}  # slot -> column var indices
     for job in jobs:
         for t in list(job.window.slots())[: job.length]:
-            var = new_config(Configuration(t, frozenset({job.id})))
-            seeds.setdefault(t, []).append(var)
-
-    slot_row: dict[int, int] = {}
-    pair_row: dict[tuple[int, int], int] = {}
-    job_row: dict[int, int] = {}
-    for t in slots:
-        coeffs = {m_var: Fraction(1)}
-        for var in seeds.get(t, []):
-            coeffs[var] = Fraction(-1)
-        slot_row[t] = lp.add_row(coeffs, ">=", 0)
-    for job in jobs:
-        for t in job.window.slots():
-            entries = {
-                var: Fraction(-1)
-                for var in seeds.get(t, [])
-                if job.id in configs[var - 1].jobs
-            }
-            pair_row[(job.id, t)] = lp.add_row(entries, ">=", -1)
-    for job in jobs:
-        entries = {
-            var: Fraction(1)
-            for var, c in enumerate(configs, start=1)
-            if job.id in c.jobs
-        }
-        job_row[job.id] = lp.add_row(entries, ">=", job.length)
+            add_config(Configuration(t, frozenset({job.id})))
 
     trace: list[IterationAudit] = []
-
-    def audited_solve(added: int):
+    added = len(configs)
+    while True:
         sol = lp_solve(lp)
         if not sol.optimal:
             raise AssertionError(f"configuration master came back {sol.status}")
         worst = Fraction(0)
         for i, (_, rel, rhs) in enumerate(lp.rows):
-            act = lp.row_activity(sol.x, i)
             assert rel == ">="
-            worst = max(worst, rhs - act)
+            worst = max(worst, rhs - lp.row_activity(sol.x, i))
         trace.append(IterationAudit(sol.objective, added, worst))
-        return sol
-
-    sol = audited_solve(added=len(configs))
-    while True:
         duals = sol.duals
         alpha = {j.id: duals[job_row[j.id]] for j in jobs}
         beta = {key: duals[row] for key, row in pair_row.items()}
@@ -238,25 +218,14 @@ def solve_config_lp(instance: Instance) -> ConfigLpResult:
         for t in slots:
             value, chosen = price_column(instance, t, alpha, beta)
             if chosen and value > gamma[t]:
-                c = Configuration(t, chosen)
-                assert c.key not in col_of, "priced an existing column"
-                entries = {slot_row[t]: Fraction(-1)}
-                for jid in chosen:
-                    entries[pair_row[(jid, t)]] = Fraction(-1)
-                    entries[job_row[jid]] = Fraction(1)
-                var = lp.add_column(0, entries)
-                col_of[c.key] = var
-                configs.append(c)
+                add_config(Configuration(t, chosen))
                 added += 1
         if added == 0:
             break
-        sol = audited_solve(added)
 
     m_star = sol.objective
     columns = tuple(
-        (c, sol.x[var])
-        for var, c in enumerate(configs, start=1)
-        if sol.x[var] > 0
+        (c, sol.x[var]) for var, c in enumerate(configs, start=1) if sol.x[var] > 0
     )
     return ConfigLpResult(
         m_star=m_star,
@@ -697,8 +666,6 @@ def solve_minr(
     m_int = lpsol.m_int
     horizon = instance.horizon
     tree = build_tree(max(horizon, 1))
-    threshold = window_condition_threshold(horizon, instance.dim, m_int, params)
-    met = sum(1 for j in instance.jobs if j.window.size >= threshold)
 
     attempts = 2 * params.max_retries
     for attempt in range(attempts):
@@ -735,6 +702,7 @@ def solve_minr(
                 f"internal: assembled schedule invalid: {report.violations[:3]}"
             )
         used_phase2 = sum(1 for v in bins2.load.values() if v > 0)
+        stats = residual_area_report(instance, residuals, m_int, params)
         return MinRResult(
             schedule=schedule,
             hosts_used=hosts_used,
@@ -747,10 +715,10 @@ def solve_minr(
             fallback_ids=tuple(r.job_id for r in fallback),
             phase2_idle=m_int * horizon - used_phase2,
             residual_count=len(residuals),
-            residual_stats=residual_area_report(instance, residuals, m_int, params),
-            window_condition_met=met,
+            residual_stats=stats,
+            window_condition_met=sum(j.window.size >= stats.threshold for j in instance.jobs),
             window_condition_total=len(instance.jobs),
-            window_threshold=threshold,
+            window_threshold=stats.threshold,
         )
     raise MinRError(
         f"residual scheduling failed {attempts} attempts "
@@ -808,23 +776,19 @@ def psi_table(horizon: int, dim: int, theta: Fraction = Fraction(1)) -> PsiParti
 
 
 def slab_windows(block: int, horizon: int) -> tuple[list[TimeWindow], list[TimeWindow]]:
-    """Odd and even slab families of width 2*block covering [1, horizon].
+    """Odd and even slab families of width 2*block covering [1, horizon],
+    each listed by start.
 
     Even slabs start at 1, 2B+1, 4B+1, ...; odd slabs at B+1, 3B+1, ....
     Any window of length at most B lies inside a slab of one family."""
-    odd: list[TimeWindow] = []
-    even: list[TimeWindow] = []
-    i = 0
-    while 2 * i * block + 1 <= horizon:
-        even.append(TimeWindow(2 * i * block + 1, min((2 * i + 2) * block, horizon)))
-        i += 1
-    i = 0
-    while (2 * i + 1) * block + 1 <= horizon:
-        odd.append(
-            TimeWindow((2 * i + 1) * block + 1, min((2 * i + 3) * block, horizon))
-        )
-        i += 1
-    return odd, even
+
+    def family(first: int) -> list[TimeWindow]:
+        return [
+            TimeWindow(s, min(s + 2 * block - 1, horizon))
+            for s in range(first, horizon + 1, 2 * block)
+        ]
+
+    return family(block + 1), family(1)
 
 
 @dataclass(frozen=True)
@@ -876,76 +840,58 @@ def partition_by_window(
     time), its even slabs another, and ranges stack pools on top of each
     other.  Every job lands in exactly one slab."""
     part = psi_table(max(instance.horizon, 1), instance.dim, params.theta)
-    horizon = instance.horizon
-    range_jobs: dict[int, list[Job]] = {}
+    ranges = part.ranges()
+    families = [slab_windows(hi, instance.horizon) for _, hi in ranges]  # (odd, even)
+    groups: dict[tuple[int, TimeWindow], list[Job]] = {}
     for job in instance.jobs:
         size = job.window.size
-        for w, (lo, hi) in enumerate(part.ranges()):
-            if lo < size <= hi:
-                range_jobs.setdefault(w, []).append(job)
-                break
-        else:
+        w = next((w for w, (lo, hi) in enumerate(ranges) if lo < size <= hi), None)
+        if w is None:
             raise AssertionError(f"job {job.id}: window size {size} outside (0, T]")
+        slab = next(
+            (s for slabs in families[w] for s in slabs if s.contains(job.window)), None
+        )
+        if slab is None:
+            raise AssertionError(
+                f"job {job.id}: window fits no slab of width {2 * ranges[w][1]}"
+            )
+        groups.setdefault((w, slab), []).append(job)
 
     runs: list[SlabRun] = []
     pools: list[tuple[int, int]] = []
     base = 0
     merged: dict[int, set[tuple[int, int]]] = {}
-    for w, (_, block) in enumerate(part.ranges()):
-        jobs_here = range_jobs.get(w, [])
-        if not jobs_here:
-            pools.append((0, 0))
-            continue
-        odd_slabs, even_slabs = slab_windows(block, horizon)
-        groups: dict[tuple[str, TimeWindow], list[Job]] = {}
-        for job in jobs_here:
-            slab = next((s for s in odd_slabs if s.contains(job.window)), None)
-            parity = "odd"
-            if slab is None:
-                slab = next((s for s in even_slabs if s.contains(job.window)), None)
-                parity = "even"
-            if slab is None:
-                raise AssertionError(
-                    f"job {job.id}: window fits no slab of width {2 * block}"
-                )
-            groups.setdefault((parity, slab), []).append(job)
-        range_pool = {}
-        for parity in ("odd", "even"):
-            slabs = sorted(
-                (s for p, s in groups if p == parity), key=lambda s: s.start
-            )
-            parity_runs = []
-            for slab in slabs:
-                sub = instance.with_jobs(groups[(parity, slab)])
+    for w, family in enumerate(families):
+        range_pool = []
+        for parity, slabs in zip(("odd", "even"), family):
+            pool = 0
+            for slab in (s for s in slabs if (w, s) in groups):
+                jobs = groups[(w, slab)]
                 result = solve_minr(
-                    sub, params, seed=f"{seed}:w{w}:{parity}:{slab.start}"
+                    instance.with_jobs(jobs), params,
+                    seed=f"{seed}:w{w}:{parity}:{slab.start}",
                 )
-                parity_runs.append((slab, sub, result))
-            pool = max((r.hosts_used for _, _, r in parity_runs), default=0)
-            for slab, sub, result in parity_runs:
                 runs.append(
                     SlabRun(
                         range_index=w,
                         parity=parity,
                         slab=slab,
-                        job_ids=tuple(sorted(j.id for j in sub.jobs)),
+                        job_ids=tuple(sorted(j.id for j in jobs)),
                         result=result,
                         host_base=base,
                     )
                 )
                 for jid, spots in result.schedule.placements.items():
-                    merged.setdefault(jid, set()).update(
-                        (base + h, t) for h, t in spots
-                    )
-            range_pool[parity] = pool
+                    merged.setdefault(jid, set()).update((base + h, t) for h, t in spots)
+                pool = max(pool, result.hosts_used)
+            range_pool.append(pool)
             base += pool
-        pools.append((range_pool["odd"], range_pool["even"]))
+        pools.append(tuple(range_pool))
 
-    schedule = Schedule.from_pairs(merged)
     return PartitionResult(
         partition=part,
         runs=tuple(runs),
         pool_hosts=tuple(pools),
         total_hosts=base,
-        schedule=schedule,
+        schedule=Schedule.from_pairs(merged),
     )

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 _q = Fraction  # rational type of values, bounds, costs and results; bench/run.py reports it
 _ZERO = Fraction(0)
+_PIVOT_LIMIT = 1_000_000  # pivots per phase of one solve; a guard, since Bland's rule terminates
 
 LOWER, UPPER, BASIC, FIXED = 0, 1, 2, 3
 
@@ -115,7 +116,7 @@ class LinearProgram:
         return sum((c * x[v] for v, c in coeffs.items()), Fraction(0))
 
 
-def solve(lp: LinearProgram, warm: bool = True, pivot_limit: int = 1_000_000) -> LpSolution:
+def solve(lp: LinearProgram, warm: bool = True) -> LpSolution:
     """Solve to proven optimality (or infeasible/unbounded), exactly."""
     tab = lp._tableau if warm else None
     if tab is not None and lp._pending_cols:
@@ -127,10 +128,10 @@ def solve(lp: LinearProgram, warm: bool = True, pivot_limit: int = 1_000_000) ->
     lp._pending_cols.clear()
     if tab is None:
         tab = _Tableau(lp)
-        if tab.phase1(pivot_limit) == "infeasible":
+        if tab.phase1() == "infeasible":
             lp._tableau = None
             return LpSolution("infeasible", None, None, None)
-    if tab.phase2(pivot_limit) == "unbounded":
+    if tab.phase2() == "unbounded":
         lp._tableau = None
         return LpSolution("unbounded", None, None, None)
     lp._tableau = tab
@@ -266,14 +267,14 @@ class _Tableau:
             zrow = [z + k * a for z, a in zip(zrow, self.tab[i])]
         self.zrow, self.zden = _lowest_terms(zrow, zden)
 
-    def phase1(self, pivot_limit: int) -> str:
+    def phase1(self) -> str:
         if not self.art_cols:
             return "feasible"
         costs = [_ZERO] * self.ncols
         for col in self.art_cols:
             costs[col] = Fraction(-1)
         self._reset_zrow(costs)
-        if self._iterate(pivot_limit) == "unbounded":
+        if self._iterate() == "unbounded":
             raise AssertionError("phase 1 objective is bounded above by zero")
         arts = set(self.art_cols)
         infeas = sum((self.val[i] for i, b in enumerate(self.basis) if b in arts), _ZERO)
@@ -286,16 +287,16 @@ class _Tableau:
                 self.status[col] = FIXED
         return "feasible"
 
-    def phase2(self, pivot_limit: int) -> str:
+    def phase2(self) -> str:
         self._reset_zrow(self.cost)
-        return self._iterate(pivot_limit)
+        return self._iterate()
 
     # -- core pivoting -----------------------------------------------------
 
-    def _iterate(self, pivot_limit: int) -> str:
+    def _iterate(self) -> str:
         tab, den, val = self.tab, self.den, self.val
         basis, ubound, status = self.basis, self.ubound, self.status
-        for _ in range(pivot_limit):
+        for _ in range(_PIVOT_LIMIT):
             zrow = self.zrow
             enter = -1
             direction = 1
@@ -359,7 +360,7 @@ class _Tableau:
                 status[enter] = UPPER if direction > 0 else LOWER
                 continue
             self._pivot(leave_row, enter, t, direction, leave_to)
-        raise CyclingLimitError(f"exceeded {pivot_limit} pivots")
+        raise CyclingLimitError(f"exceeded {_PIVOT_LIMIT} pivots")
 
     def _pivot(self, r: int, enter: int, t: Fraction, direction: int, leave_to: int) -> None:
         leaving = self.basis[r]

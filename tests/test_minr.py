@@ -196,6 +196,18 @@ def test_config_lp_trace_is_exact_and_monotone():
         check_lp_invariants(instance, lpsol)
 
 
+def test_config_lp_first_audit_counts_the_seed_columns():
+    # the seeds are one singleton per unit of each job's length, and every
+    # later audit counts the columns that pricing added before its solve
+    rng = random.Random(23)
+    for _ in range(15):
+        instance = _tiny_instance(rng)
+        lpsol = solve_config_lp(instance)
+        assert lpsol.trace[0].columns_added == sum(j.length for j in instance.jobs)
+        assert lpsol.column_count == sum(a.columns_added for a in lpsol.trace)
+        assert all(a.columns_added > 0 for a in lpsol.trace[1:])
+
+
 def test_config_lp_lower_bounds_exact_minimum():
     rng = random.Random(17)
     limits = OracleLimits(max_jobs=5, max_horizon=5, max_hosts=5)
@@ -560,6 +572,31 @@ def test_solve_minr_deterministic():
     a = solve_minr(instance, seed=7)
     b = solve_minr(instance, seed=7)
     assert a.to_json() == b.to_json()
+
+
+def test_solve_minr_window_condition_comes_from_the_report(monkeypatch):
+    # theta = 2 puts the threshold at 11 slots on this 12-slot horizon, so
+    # the 12-slot window meets the condition and the 8-slot ones do not
+    real = minr.window_condition_threshold
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(minr, "window_condition_threshold", counted)
+    instance = inst([
+        mk(1, 1, 12, 2, Fraction(3, 10)),
+        mk(2, 3, 10, 1, Fraction(2, 5)),
+        mk(3, 5, 12, 2, Fraction(1, 2)),
+    ])
+    res = solve_minr(instance, MinRParams(theta=Fraction(2)), seed=0)
+    assert len(calls) == 1
+    assert res.window_threshold == res.residual_stats.threshold == 11
+    assert res.window_condition_met == sum(
+        j.window.size >= res.window_threshold for j in instance.jobs
+    ) == 1
+    assert res.window_condition_total == 3
 
 
 def test_solve_minr_fallback_assembly(monkeypatch):
