@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from slotsched.laminar import forest_order, is_laminar, transform_instance, window_forest
 from slotsched.model import (
@@ -47,6 +47,8 @@ from slotsched.model import (
 )
 # not called here: the benchmark's tracer (bench/layers.py) times maxt.lp_solve
 from slotsched.simplex import solve as lp_solve  # noqa: F401
+
+S = TypeVar("S")
 
 
 class ScheduleError(RuntimeError):
@@ -401,6 +403,56 @@ def _empty_result(path: str, omega: Fraction | None = None) -> MaxTResult:
 # -- exact single-host throughput ------------------------------------------------
 
 
+def best_subset(
+    weights: Sequence[Fraction],
+    root: S,
+    extend: Callable[[S, int], S | None],
+) -> tuple[Fraction, S]:
+    """Exact best-weight subset of items 0..n-1, as (weight, state).
+
+    Depth-first include/exclude search on an explicit stack, trying items in
+    index order (callers list them heaviest first) and including before
+    excluding.  `extend(state, i)` is the state with item i added, or None
+    when it does not fit; the root state stands for the empty set.  A node
+    is pruned when its weight plus every remaining weight cannot strictly
+    beat the best so far, and only a strictly heavier set replaces the best,
+    so the result is the first heaviest set in include-first order.
+    """
+    suffix = [Fraction(0)] * (len(weights) + 1)
+    for i in range(len(weights) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + weights[i]
+    best_weight, best_state = Fraction(0), root
+    stack = [(0, Fraction(0), root)]
+    while stack:
+        i, weight, state = stack.pop()
+        if weight > best_weight:
+            best_weight, best_state = weight, state
+        if i == len(weights) or weight + suffix[i] <= best_weight:
+            continue
+        stack.append((i + 1, weight, state))  # exclude, popped after include's subtree
+        grown = extend(state, i)
+        if grown is not None:
+            stack.append((i + 1, weight + weights[i], grown))
+    return best_weight, best_state
+
+
+def _edf(sel: Sequence[Job], horizon: int) -> dict[int, set[int]] | None:
+    """Earliest-due-date slot assignment of `sel` on one host over slots
+    1..horizon, or None when some job misses its window."""
+    remaining = {j.id: j.length for j in sel}
+    assign: dict[int, set[int]] = {j.id: set() for j in sel}
+    for t in range(1, horizon + 1):
+        ready = [j for j in sel if j.release <= t <= j.due and remaining[j.id] > 0]
+        if not ready:
+            continue
+        job = min(ready, key=lambda j: (j.due, j.id))
+        remaining[job.id] -= 1
+        assign[job.id].add(t)
+    if any(remaining.values()):
+        return None
+    return assign
+
+
 def single_host_throughput(
     jobs: Sequence[Job],
 ) -> tuple[Fraction, tuple[int, ...], dict[int, set[int]]]:
@@ -409,52 +461,19 @@ def single_host_throughput(
 
     Feasibility of a set is decided by the earliest-due-date simulation
     (exact for preemptive single-host windows on integer slots); the subset
-    search is include/exclude with a remaining-weight bound, so it is exact
-    and affordable for the per-class job counts the callers produce.
+    search is `best_subset` over the jobs heaviest first, so it is exact and
+    affordable for the per-class job counts the callers produce.
     """
-    if not jobs:
-        return Fraction(0), (), {}
-    horizon = max(j.due for j in jobs)
-
-    def edf(sel: list[Job]) -> dict[int, set[int]] | None:
-        remaining = {j.id: j.length for j in sel}
-        assign: dict[int, set[int]] = {j.id: set() for j in sel}
-        for t in range(1, horizon + 1):
-            ready = [
-                j for j in sel if j.release <= t <= j.due and remaining[j.id] > 0
-            ]
-            if not ready:
-                continue
-            job = min(ready, key=lambda j: (j.due, j.id))
-            remaining[job.id] -= 1
-            assign[job.id].add(t)
-        if any(remaining.values()):
-            return None
-        return assign
-
+    horizon = max((j.due for j in jobs), default=0)
     order = sorted(jobs, key=lambda j: (-j.weight, j.id))
-    suffix = [Fraction(0)] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + order[i].weight
 
-    best_weight = Fraction(0)
-    best_set: list[Job] = []
+    def extend(state, i):
+        sel = state[0] + (order[i],)
+        assign = _edf(sel, horizon)
+        return None if assign is None else (sel, assign)
 
-    def dfs(i: int, current: list[Job], weight: Fraction) -> None:
-        nonlocal best_weight, best_set
-        if weight > best_weight:
-            best_weight = weight
-            best_set = list(current)
-        if i == len(order) or weight + suffix[i] <= best_weight:
-            return
-        trial = current + [order[i]]
-        if edf(trial) is not None:
-            dfs(i + 1, trial, weight + order[i].weight)
-        dfs(i + 1, current, weight)
-
-    dfs(0, [], Fraction(0))
-    assign = edf(best_set) or {}
-    return best_weight, tuple(sorted(j.id for j in best_set)), assign
+    weight, (sel, assign) = best_subset([j.weight for j in order], ((), {}), extend)
+    return weight, tuple(sorted(j.id for j in sel)), assign
 
 
 # -- height classes ----------------------------------------------------------------

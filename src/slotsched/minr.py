@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from slotsched.laminar import LaminarTree, build_tree, forest_order, map_window
-from slotsched.maxt import ScheduleError, SlotBins
+from slotsched.maxt import ScheduleError, SlotBins, best_subset
 from slotsched.model import (
     Instance,
     Job,
@@ -93,7 +93,7 @@ def price_column(
 ) -> tuple[Fraction, frozenset[int]]:
     """Exact best configuration at `slot` under profits alpha_j - beta_{j,slot}.
 
-    Depth-first include/exclude with a remaining-profit bound; items with
+    `maxt.best_subset` over the items by falling profit; items with
     nonpositive profit never help and are dropped up front.  Returns
     (value, job set), (0, empty) when nothing profitable fits.
     """
@@ -105,32 +105,17 @@ def price_column(
         if profit > 0:
             items.append((profit, job.id, job.demand))
     items.sort(key=lambda it: (-it[0], it[1]))
-    suffix = [Fraction(0)] * (len(items) + 1)
-    for i in range(len(items) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + items[i][0]
 
-    dim = instance.dim
-    best_value = Fraction(0)
-    best_set: tuple[int, ...] = ()
+    def extend(state, i):
+        ids, room = state
+        _, jid, demand = items[i]
+        if all(need <= left for need, left in zip(demand, room)):
+            return ids + (jid,), tuple(left - need for need, left in zip(demand, room))
+        return None
 
-    def dfs(i: int, value: Fraction, chosen: tuple[int, ...], room: tuple[Fraction, ...]):
-        nonlocal best_value, best_set
-        if value > best_value:
-            best_value, best_set = value, chosen
-        if i == len(items) or value + suffix[i] <= best_value:
-            return
-        profit, jid, demand = items[i]
-        if all(demand[k] <= room[k] for k in range(dim)):
-            dfs(
-                i + 1,
-                value + profit,
-                chosen + (jid,),
-                tuple(room[k] - demand[k] for k in range(dim)),
-            )
-        dfs(i + 1, value, chosen, room)
-
-    dfs(0, Fraction(0), (), tuple(Fraction(1) for _ in range(dim)))
-    return best_value, frozenset(best_set)
+    root = ((), (Fraction(1),) * instance.dim)
+    value, (ids, _) = best_subset([it[0] for it in items], root, extend)
+    return value, frozenset(ids)
 
 
 # -- configuration LP ---------------------------------------------------------------

@@ -191,14 +191,6 @@ class Schedule:
             }
         )
 
-    def merged_with(self, other: "Schedule") -> "Schedule":
-        combined: dict[int, set[tuple[int, int]]] = {
-            jid: set(ps) for jid, ps in self.placements.items()
-        }
-        for jid, ps in other.placements.items():
-            combined.setdefault(jid, set()).update(ps)
-        return Schedule.from_pairs(combined)
-
     def slots_of(self, jid: int) -> set[int]:
         return {t for _, t in self.placements.get(jid, ())}
 

@@ -113,7 +113,7 @@ class LinearProgram:
 
     def row_activity(self, x: tuple[Fraction, ...], row: int) -> Fraction:
         coeffs, _, _ = self.rows[row]
-        return sum((c * x[v] for v, c in coeffs.items()), Fraction(0))
+        return sum((c * x[v] for v, c in coeffs.items() if x[v]), Fraction(0))
 
 
 def solve(lp: LinearProgram, warm: bool = True) -> LpSolution:

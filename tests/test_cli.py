@@ -8,7 +8,15 @@ import pytest
 from slotsched import maxt, minr
 from slotsched.cli import main
 from slotsched.experiments import SOLVERS
-from slotsched.model import dumps_canonical, load_instance, load_schedule, validate
+from slotsched.model import (
+    Instance,
+    Job,
+    dumps_canonical,
+    instance_to_json,
+    load_instance,
+    load_schedule,
+    validate,
+)
 
 
 def run(capsys, *argv):
@@ -419,3 +427,16 @@ def test_malformed_batch_config_is_a_clean_error(tmp_path, capsys, config, field
     assert err.startswith("error:") and field in err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_solve_maxt_logn_searches_past_the_recursion_limit(tmp_path, capsys):
+    # 1,050 unit jobs for two slots on one host: one height class, one search
+    jobs = [
+        Job(id=i, release=1, due=2, length=1, demand=(Fraction(1),), weight=Fraction(1, 2**i))
+        for i in range(1, 1051)
+    ]
+    path = tmp_path / "deep.json"
+    path.write_text(dumps_canonical(instance_to_json(Instance(hosts=1, dim=1, jobs=jobs))))
+    code, out, err = run(capsys, "solve-maxt", str(path), "--solver", "logn")
+    assert code == 0, err
+    assert json.loads(out)["profit"] == "3/4"

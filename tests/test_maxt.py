@@ -16,6 +16,7 @@ from slotsched.maxt import (
     ScheduleError,
     SlotBins,
     alpha_split,
+    best_subset,
     class_hosts,
     general_slack_limit,
     greedy_long_lowheight,
@@ -550,6 +551,30 @@ def test_single_host_matches_exact_oracle():
         placements = {j: {(1, t) for t in slots} for j, slots in assign.items()}
         report = validate(instance, Schedule.from_pairs(placements))
         assert report.feasible and set(report.completed_ids) == set(ids)
+
+
+def test_single_host_searches_past_the_recursion_limit():
+    # 1,050 jobs compete for two slots, and the search goes one level per job
+    jobs = [mk(jid, 1, 2, 1, 1, weight=Fraction(1, 2**jid)) for jid in range(1, 1051)]
+    assert single_host_throughput(jobs) == (Fraction(3, 4), (1, 2), {1: {1}, 2: {2}})
+
+
+def test_best_subset_keeps_the_first_heaviest_set():
+    calls = []
+
+    def extend(state, i):  # item 0 fits only on its own, the others two at a time
+        calls.append((state, i))
+        grown = state + (i,)
+        return None if 0 in grown and len(grown) > 1 or len(grown) > 2 else grown
+
+    weights = [Fraction(w) for w in (2, 1, 1)]
+    assert best_subset(weights, (), extend) == (2, (0,))
+    # {1, 2} can only tie {0}, so the branch without item 0 is pruned unexplored
+    assert calls == [((), 0), ((0,), 1), ((0,), 2)]
+    # {1, 2}, {1, 3} and {2, 3} are visited but only tie, so {0} stays
+    assert best_subset(weights + [Fraction(1)], (), extend) == (2, (0,))
+    # a later set that is strictly heavier still wins
+    assert best_subset([Fraction(w) for w in (3, 2, 2)], (), extend) == (4, (1, 2))
 
 
 # -- height classes -----------------------------------------------------------------

@@ -126,6 +126,13 @@ def test_price_column_beta_reduces_profit():
     assert price_column(inst(jobs), 2, alpha, beta) == (3, frozenset({1}))
 
 
+def test_price_column_searches_past_the_recursion_limit():
+    # every job fits, and the search goes one level per job
+    jobs = [mk(j, 1, 1, 1, Fraction(1, 2000)) for j in range(1, 1101)]
+    alpha = {j.id: Fraction(1) for j in jobs}
+    assert price_column(inst(jobs), 1, alpha, {}) == (1100, frozenset(range(1, 1101)))
+
+
 def test_price_column_matches_exhaustive_search():
     rng = random.Random(5)
     for _ in range(30):

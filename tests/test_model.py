@@ -232,14 +232,6 @@ def test_schedule_json_round_trip():
     assert schedule_from_json(obj) == sched
 
 
-def test_schedule_merge():
-    a = Schedule.from_pairs({1: [(1, 1)]})
-    b = Schedule.from_pairs({1: [(2, 2)], 2: [(1, 3)]})
-    merged = a.merged_with(b)
-    assert merged.placements[1] == frozenset({(1, 1), (2, 2)})
-    assert merged.placements[2] == frozenset({(1, 3)})
-
-
 def test_job_with_cached_window_equals_and_hashes_like_its_twin():
     read, fresh = mk_job(jid=3, release=2, due=5), mk_job(jid=3, release=2, due=5)
     assert read.window == TimeWindow(2, 5)
