@@ -2,13 +2,15 @@
 
 A family of windows is laminar when every pair is nested or disjoint.  The
 throughput LP and its rounding only work on laminar families, so arbitrary
-instances are transformed first: build a fixed binary tree over [1, T]
+instances are transformed first: take the fixed binary tree over [1, T]
 (each node [l, r] splits at floor((l+r)/2), down to singleton leaves) and
 replace every window by the largest tree interval contained in it (rightmost
-such interval on size ties).  The mapped window loses at most a factor 4 of
-its size, and the union of all windows mapped onto one tree interval spans at
-most 4x that window; both facts are what the downstream guarantees lean on,
-and both are cheap to check exhaustively for small horizons.
+such interval on size ties).  The tree depends only on T, so its nodes are
+computed from T when needed rather than stored.  The mapped window loses at
+most a factor 4 of its size, and the union of all windows mapped onto one
+tree interval spans at most 4x that window; both facts are what the
+downstream guarantees lean on, and both are cheap to check exhaustively for
+small horizons.
 """
 
 from __future__ import annotations
@@ -52,44 +54,33 @@ def is_laminar(windows: Iterable[TimeWindow]) -> bool:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    window: TimeWindow
-    children: tuple["TreeNode", ...]
-
-
-@dataclass(frozen=True)
 class LaminarTree:
-    """Binary split tree over [1, horizon] with singleton leaves."""
+    """Binary split tree over [1, horizon] with singleton leaves.
+
+    The tree depends only on the horizon, so its nodes are computed from
+    (lo, hi) pairs whenever they are needed, never stored.
+    """
 
     horizon: int
-    root: TreeNode
-
-    def nodes(self) -> list[TreeNode]:
-        """All nodes, preorder (parent before children)."""
-        out: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(node.children))
-        return out
 
     def windows(self) -> list[TimeWindow]:
-        return [n.window for n in self.nodes()]
+        """All tree intervals, preorder (parent, then left subtree, then right)."""
+        out: list[TimeWindow] = []
+        stack = [(1, self.horizon)]
+        while stack:
+            lo, hi = stack.pop()
+            out.append(TimeWindow(lo, hi))
+            if lo < hi:
+                mid = (lo + hi) // 2
+                stack += ((mid + 1, hi), (lo, mid))
+        return out
 
 
 def build_tree(horizon: int) -> LaminarTree:
     """The canonical tree: root [1, T], split [l, r] at floor((l+r)/2)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-
-    def grow(lo: int, hi: int) -> TreeNode:
-        if lo == hi:
-            return TreeNode(TimeWindow(lo, hi), ())
-        mid = (lo + hi) // 2
-        return TreeNode(TimeWindow(lo, hi), (grow(lo, mid), grow(mid + 1, hi)))
-
-    return LaminarTree(horizon=horizon, root=grow(1, horizon))
+    return LaminarTree(horizon)
 
 
 def map_window(tree: LaminarTree, window: TimeWindow) -> TimeWindow:
@@ -101,22 +92,24 @@ def map_window(tree: LaminarTree, window: TimeWindow) -> TimeWindow:
     """
     if window.end > tree.horizon:
         raise ValueError(f"window [{window.start}, {window.end}] exceeds horizon {tree.horizon}")
-    best: TimeWindow | None = None
-    stack = [tree.root]
+    start, end = window.start, window.end
+    best: tuple[int, int] | None = None  # (size, start) of the best contained node
+    stack = [(1, tree.horizon)]
     while stack:
-        node = stack.pop()
-        w = node.window
-        if not w.overlaps(window):
+        lo, hi = stack.pop()
+        if hi < start or end < lo:
             continue
-        if window.contains(w):
+        if start <= lo and hi <= end:
             # a contained node's descendants are strictly smaller; prune here
-            if best is None or (w.size, w.start) > (best.size, best.start):
-                best = w
+            if best is None or (hi - lo + 1, lo) > best:
+                best = (hi - lo + 1, lo)
             continue
-        stack.extend(node.children)
+        mid = (lo + hi) // 2
+        stack += ((lo, mid), (mid + 1, hi))
     if best is None:
         raise AssertionError("singleton leaves make mapping total")
-    return best
+    size, lo = best
+    return TimeWindow(lo, lo + size - 1)
 
 
 @dataclass(frozen=True)
@@ -129,7 +122,6 @@ class LaminarMapping:
     to do with them.
     """
 
-    tree: LaminarTree
     by_job: dict[int, tuple[TimeWindow, TimeWindow]]
     untransformable: tuple[int, ...]
 
@@ -156,10 +148,7 @@ def transform_instance(instance: Instance) -> tuple[Instance, LaminarMapping]:
     and weights are untouched, so any schedule feasible for the transformed
     instance validates against the original unchanged.
     """
-    if not instance.jobs:
-        tree = build_tree(max(instance.horizon, 1))
-        return instance, LaminarMapping(tree=tree, by_job={}, untransformable=())
-    tree = build_tree(instance.horizon)
+    tree = LaminarTree(instance.horizon)  # horizon 0 only when there are no jobs to map
     by_job: dict[int, tuple[TimeWindow, TimeWindow]] = {}
     kept: list[Job] = []
     dropped: list[int] = []
@@ -180,8 +169,7 @@ def transform_instance(instance: Instance) -> tuple[Instance, LaminarMapping]:
             )
         )
     transformed = Instance(hosts=instance.hosts, dim=instance.dim, jobs=tuple(kept))
-    mapping = LaminarMapping(tree=tree, by_job=by_job, untransformable=tuple(dropped))
-    return transformed, mapping
+    return transformed, LaminarMapping(by_job=by_job, untransformable=tuple(dropped))
 
 
 # ---------------------------------------------------------------------------

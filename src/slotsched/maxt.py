@@ -577,6 +577,25 @@ def _resolve_lambda(instance: Instance, lam: Fraction | None) -> Fraction:
     return lam
 
 
+def _lp_round_pack(instance: Instance, omega: Fraction, mode: str, path: str) -> MaxTResult:
+    """Relax at `omega`, round, and pack the selection with packer `mode`.
+
+    The three steps are looked up as module globals at call time, so a
+    tracer that rebinds them sees every call.
+    """
+    relax = solve_relaxation(instance, omega)
+    rounded = round_selection(instance, relax)
+    schedule, _ = schedule_selected(instance, rounded.selected, mode=mode)
+    return MaxTResult(
+        selected=rounded.selected,
+        schedule=schedule,
+        profit=_profit(instance, rounded.selected),
+        path=path,
+        omega=omega,
+        lp_bound=relax.objective,
+    )
+
+
 def solve_maxt_laminar(
     instance: Instance, lam: Fraction | None = None, variant: str = "single"
 ) -> MaxTResult:
@@ -600,36 +619,15 @@ def solve_maxt_laminar(
         limit = single_slack_limit(m)
         if lam >= limit:
             raise ValueError(f"lambda {lam} >= {limit}; omega would be nonpositive")
-        omega = omega_single(m, lam)
-        relax = solve_relaxation(instance, omega)
-        rounded = round_selection(instance, relax)
-        schedule, _ = schedule_selected(instance, rounded.selected, mode="pairing")
-        return MaxTResult(
-            selected=rounded.selected,
-            schedule=schedule,
-            profit=_profit(instance, rounded.selected),
-            path="laminar-single",
-            omega=omega,
-            lp_bound=relax.objective,
-        )
+        return _lp_round_pack(instance, omega_single(m, lam), "pairing", "laminar-single")
 
     alpha = alpha_split(m, lam)
     small = [j for j in instance.jobs if j.height <= alpha]
     large = [j for j in instance.jobs if j.height > alpha]
     small_res = _empty_result("laminar-split-small")
     if small:
-        omega = omega_small(m, lam)
-        sub = instance.with_jobs(small)
-        relax = solve_relaxation(sub, omega)
-        rounded = round_selection(sub, relax)
-        schedule, _ = schedule_selected(sub, rounded.selected, mode="smallfit")
-        small_res = MaxTResult(
-            selected=rounded.selected,
-            schedule=schedule,
-            profit=_profit(instance, rounded.selected),
-            path="laminar-split-small",
-            omega=omega,
-            lp_bound=relax.objective,
+        small_res = _lp_round_pack(
+            instance.with_jobs(small), omega_small(m, lam), "smallfit", "laminar-split-small"
         )
     large_res = _empty_result("laminar-split-large")
     if large:

@@ -122,7 +122,7 @@ def solve(lp: LinearProgram, warm: bool = True) -> LpSolution:
     if tab is not None and lp._pending_cols:
         if all(lp.lo[v] == 0 for v in lp._pending_cols):
             for var in sorted(lp._pending_cols):
-                tab.absorb_column(var)
+                tab.absorb_column(lp, var)
         else:
             tab = None
     lp._pending_cols.clear()
@@ -135,7 +135,7 @@ def solve(lp: LinearProgram, warm: bool = True) -> LpSolution:
         lp._tableau = None
         return LpSolution("unbounded", None, None, None)
     lp._tableau = tab
-    x = tab.primal_values()
+    x = tab.primal_values(lp)
     duals = tab.dual_values()
     obj = sum((lp.obj[j] * x[j] for j in range(lp.n_vars)), Fraction(0))
     return LpSolution("optimal", tuple(x), tuple(duals), obj)
@@ -181,10 +181,12 @@ class _Tableau:
     feasible initial basis.  Artificials are fixed to 0 after phase 1 but keep
     their columns: together with the slacks they embed B^-1, which is what
     dual extraction and warm column absorption read.
+
+    The tableau keeps no reference to its program (methods that read it take
+    it as an argument), so a program and its cached tableau form no cycle.
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
         m, n = lp.n_rows, lp.n_vars
         self.sign = 1 if lp.sense == "max" else -1
         # structural columns, shifted: x = x' + lo, x' in [0, hi-lo]
@@ -387,8 +389,7 @@ class _Tableau:
 
     # -- extraction and warm columns ----------------------------------------
 
-    def primal_values(self) -> list[Fraction]:
-        lp = self.lp
+    def primal_values(self, lp: LinearProgram) -> list[Fraction]:
         vals: list[Fraction] = [
             self.ubound[j] if self.status[j] == UPPER else _ZERO
             for j in range(self.ncols)
@@ -409,12 +410,11 @@ class _Tableau:
             duals.append(Fraction(self.sign * s * self.zrow[col], self.zden))
         return duals
 
-    def absorb_column(self, var: int) -> None:
-        """Extend the tableau with a structural column appended after the last
-        solve.  The z-row is rebuilt at the next phase2 call, so only the
-        B^-1 A column needs computing here."""
-        lp = self.lp
-        col = self._insert_structural_col(var)
+    def absorb_column(self, lp: LinearProgram, var: int) -> None:
+        """Extend the tableau with a structural column of `lp` appended after
+        the last solve.  The z-row is rebuilt at the next phase2 call, so only
+        the B^-1 A column needs computing here."""
+        col = self._insert_structural_col(lp, var)
         # B^-1 e_i is embedded in row i's witness column, so the new column
         # is sum_i c_i * ws_i * (witness column of row i), with the c_i scaled
         # to integers k_i by the lcm of their denominators
@@ -444,10 +444,9 @@ class _Tableau:
                 self.den[r] *= up
             row[col] = num
 
-    def _insert_structural_col(self, var: int) -> int:
+    def _insert_structural_col(self, lp: LinearProgram, var: int) -> int:
         """Place the new variable at tableau index `var` so structural columns
         stay contiguous; shift slack/artificial bookkeeping right by one."""
-        lp = self.lp
         lo, hi = lp.lo[var], lp.hi[var]
         if lo != 0:
             raise ValueError("warm-absorbed columns must have lo == 0")

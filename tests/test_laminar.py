@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,93 @@ def test_map_window_examples():
     assert map_window(tree, W(3, 3)) == W(3, 3)
     # strictly larger contained interval beats a righter smaller one
     assert map_window(tree, W(1, 6)) == W(1, 4)
+
+
+@dataclass(frozen=True)
+class _RefNode:
+    window: TimeWindow
+    children: tuple["_RefNode", ...]
+
+
+def _reference_tree(horizon):
+    """The split tree as stored nodes (the former implementation), kept to
+    pin the computed preorder and mapping."""
+
+    def grow(lo, hi):
+        if lo == hi:
+            return _RefNode(W(lo, hi), ())
+        mid = (lo + hi) // 2
+        return _RefNode(W(lo, hi), (grow(lo, mid), grow(mid + 1, hi)))
+
+    return grow(1, horizon)
+
+
+def _reference_preorder(root):
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node.window)
+        stack.extend(reversed(node.children))
+    return out
+
+
+def _reference_map(root, window):
+    best = None
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        w = node.window
+        if not w.overlaps(window):
+            continue
+        if window.contains(w):
+            if best is None or (w.size, w.start) > (best.size, best.start):
+                best = w
+            continue
+        stack.extend(node.children)
+    return best
+
+
+@pytest.mark.parametrize("horizons", [range(1, 65), (100, 127, 128, 129)], ids=["1-64", "edges"])
+def test_computed_tree_matches_stored_nodes(horizons):
+    for horizon in horizons:
+        tree, root = build_tree(horizon), _reference_tree(horizon)
+        assert tree.windows() == _reference_preorder(root)
+        for a in range(1, horizon + 1):
+            for b in range(a, horizon + 1):
+                assert map_window(tree, W(a, b)) == _reference_map(root, W(a, b))
+
+
+def test_tree_errors():
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        build_tree(0)
+    with pytest.raises(ValueError, match="exceeds horizon 8"):
+        map_window(build_tree(8), W(3, 9))
+
+
+def test_transform_leaves_no_cyclic_garbage():
+    jobs = (
+        Job(id=1, release=2, due=15, length=3, demand=(Fraction(1, 2),), weight=Fraction(5)),
+        Job(id=2, release=6, due=12, length=1, demand=(Fraction(1, 4),), weight=Fraction(2)),
+    )
+    inst = Instance(hosts=2, dim=1, jobs=jobs)
+    gc.collect()
+    gc.disable()
+    try:
+        for horizon in (1, 16, 33):
+            build_tree(horizon).windows()
+        transform_instance(inst)
+        transform_instance(Instance(hosts=1, dim=1, jobs=()))
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+
+
+def test_transform_empty_instance():
+    inst = Instance(hosts=3, dim=2, jobs=())
+    trans, mapping = transform_instance(inst)
+    assert trans == inst
+    assert mapping.by_job == {} and mapping.untransformable == ()
+    assert mapping.aggregate_span(W(1, 1)) is None
 
 
 def test_map_window_total_and_bounded():

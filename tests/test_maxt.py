@@ -204,7 +204,7 @@ def test_relaxation_integer_scale_matches_simplex():
     unique = 0
     for _ in range(50):
         horizon = rng.randint(8, 16)
-        nodes = [nd.window for nd in build_tree(horizon).nodes() if nd.window.size >= 2]
+        nodes = [w for w in build_tree(horizon).windows() if w.size >= 2]
         dim = rng.randint(2, 3)
         jobs = []
         for jid in range(1, rng.randint(2, 9) + 1):
@@ -654,9 +654,7 @@ def _laminar_instance(
     [1, horizon], lengths at most lam * |window| (only nodes where that floor
     is at least 1).  weights="area" leaves every weight at the job's area."""
     tree = build_tree(horizon)
-    nodes = [
-        nd.window for nd in tree.nodes() if math.floor(nd.window.size * lam) >= 1
-    ]
+    nodes = [w for w in tree.windows() if math.floor(w.size * lam) >= 1]
     jobs = []
     n = n if n is not None else rng.randint(2, 8)
     for jid in range(1, n + 1):

@@ -5,7 +5,9 @@ fractional data (property-tested)."""
 from __future__ import annotations
 
 import copy
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -127,6 +129,26 @@ def test_add_column_improves_and_matches_cold_solve():
     cold = solve(lp, warm=False)
     assert cold.objective == warm.objective
     assert cold.x == warm.x
+
+
+def test_solved_program_freed_by_reference_count():
+    # the cached tableau must not point back at its program: with the cyclic
+    # collector off, dropping the last reference frees both
+    lp = LinearProgram("min")
+    lp.add_variable(objective=3, lo=0, hi=None)
+    lp.add_row({0: Fraction(1)}, ">=", 2)
+    solve(lp)
+    lp.add_column(objective=1, entries={0: Fraction(1)})
+    assert solve(lp).objective == 2
+    assert lp._tableau is not None
+    program, tableau = weakref.ref(lp), weakref.ref(lp._tableau)
+    gc.disable()
+    try:
+        del lp
+        assert program() is None
+        assert tableau() is None
+    finally:
+        gc.enable()
 
 
 def test_add_column_sequence_objective_monotone():
