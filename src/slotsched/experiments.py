@@ -1,11 +1,13 @@
 """Experiment harness: run solvers on instances, emit CSV rows, summarize,
 and sweep generated corpora in reproducible batches.
 
-Seeding discipline: one global seed fans out to per-cell seeds through the
-cell's position (generator index, instance index, solver name), so adding a
-solver or appending a generator spec never changes any other cell's
-randomness.  Ratios in the CSV are a convenience for human readers; loaders
-recompute them from the raw value and oracle columns.
+Seeding discipline: `compare` runs solver `name` with the seed
+`f"{seed}:{name}"` and records that seed in its row, so the row's seed
+reproduces it.  A batch seeds instance k of generator spec g with
+`f"{seed}:g{g}:i{k}"` and compares every solver on it, so adding a solver or
+appending a generator spec never changes any other row's randomness.  Ratios
+in the CSV are a convenience for human readers; loaders recompute them from
+the raw value and oracle columns.
 """
 
 from __future__ import annotations
@@ -91,11 +93,7 @@ class RunRow:
     runtime: float | None = None
 
     def as_list(self, timings: bool = False) -> list[str]:
-        cells = [
-            self.instance, self.digest, self.solver, self.params, self.status,
-            self.metric, self.value, self.lp_bound, self.oracle, self.ratio,
-            self.seed,
-        ]
+        cells = [getattr(self, column) for column in CSV_COLUMNS]
         if timings:
             cells.append("" if self.runtime is None else f"{self.runtime:.6f}")
         return cells
@@ -149,6 +147,14 @@ SOLVERS = {
 SOLVER_NAMES = tuple(SOLVERS)
 
 
+def _check_solvers(solvers) -> list[str]:
+    solvers = list(solvers)
+    for name in solvers:
+        if name not in SOLVERS:
+            raise ValueError(f"unknown solver {name!r}; known: {SOLVER_NAMES}")
+    return solvers
+
+
 def _oracle_value(instance: Instance, metric: str, limits: OracleLimits):
     try:
         if metric == "profit":
@@ -169,23 +175,24 @@ def compare(
     oracle_limits: OracleLimits = DEFAULT_LIMITS,
     timings: bool = False,
 ) -> list[RunRow]:
-    """One row per requested solver.  Solver failures become rows with an
-    `error:` status instead of aborting the run; the oracle column is
-    filled when the instance fits within the exhaustive-search limits and
-    left empty otherwise."""
+    """One row per requested solver, each run with and recording the seed
+    `f"{seed}:{name}"`.  An unknown name raises before anything runs.
+    Solver failures become rows with an `error:` status instead of aborting
+    the run; the oracle column is filled (once per metric) when the instance
+    fits within the exhaustive-search limits and left empty otherwise."""
+    solvers = _check_solvers(solvers)
     digest = instance_digest(instance)
     oracle_cache: dict[str, Fraction | None] = {}
     rows = []
     for name in solvers:
-        if name not in SOLVERS:
-            raise ValueError(f"unknown solver {name!r}; known: {SOLVER_NAMES}")
         metric, runner = SOLVERS[name]
+        run_seed = f"{seed}:{name}"
         if metric not in oracle_cache:
             oracle_cache[metric] = _oracle_value(instance, metric, oracle_limits)
         opt = oracle_cache[metric]
         started = time.perf_counter()
         try:
-            _, value, lp_bound, params = runner(instance, seed, lam, minr_params)
+            _, value, lp_bound, params = runner(instance, run_seed, lam, minr_params)
             status = "ok"
         except Exception as exc:  # recorded, not raised: failures become rows
             value, lp_bound, params = None, None, ""
@@ -206,7 +213,7 @@ def compare(
                 lp_bound=_fmt(lp_bound),
                 oracle=_fmt(opt),
                 ratio=_fmt(ratio),
-                seed=str(seed),
+                seed=run_seed,
                 runtime=elapsed if timings else None,
             )
         )
@@ -308,10 +315,7 @@ def _parse_batch_config(config):
     solvers = config.get("solvers", [])
     if not isinstance(solvers, list):
         raise ValueError("batch config field 'solvers' must be a list of solver names")
-    solvers = list(solvers)
-    for name in solvers:
-        if name not in SOLVERS:
-            raise ValueError(f"unknown solver {name!r}; known: {SOLVER_NAMES}")
+    solvers = _check_solvers(solvers)
     if "oracle" in config:
         limits = OracleLimits(**_config_fields(config["oracle"], "oracle", OracleLimits))
     else:
@@ -354,7 +358,8 @@ def run_batch(
     workers: int | None = None,
     timings: bool = False,
 ) -> dict:
-    """Run the full generator x solver matrix described by a config object.
+    """Run the full generator x solver matrix described by a config object:
+    one `compare` call per generated instance, with the instance's seed.
 
     Writes instances/, results.csv, and summary.json under out_dir and
     returns the summary.  Cell failures are isolated: a solver error shows
@@ -366,7 +371,7 @@ def run_batch(
     seed, gen_specs, solvers, limits, lam, minr_params = _parse_batch_config(config)
 
     instance_dir = out_dir / "instances"
-    cells = []  # (order, label, instance, run_seed)
+    instances = []  # (name, instance, inst_seed)
     for gi, (label, spec, count) in enumerate(gen_specs):
         for k in range(count):
             inst_seed = f"{seed}:g{gi}:i{k}"
@@ -377,27 +382,27 @@ def run_batch(
                 (instance_dir / f"{name}.json").write_text(
                     dumps_canonical(instance_to_json(instance))
                 )
-            for solver in solvers:
-                cells.append((name, instance, solver, f"{inst_seed}:{solver}"))
+                instances.append((name, instance, inst_seed))
 
-    def run_cell(cell):
-        name, instance, solver, run_seed = cell
+    def run_instance(item):
+        name, instance, inst_seed = item
         return compare(
             instance,
-            [solver],
+            solvers,
             label=name,
-            seed=run_seed,
+            seed=inst_seed,
             lam=lam,
             minr_params=minr_params,
             oracle_limits=limits,
             timings=timings,
-        )[0]
+        )
 
-    if workers is not None and workers > 1 and cells:
+    if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
+            groups = list(pool.map(run_instance, instances))
     else:
-        rows = [run_cell(cell) for cell in cells]
+        groups = [run_instance(item) for item in instances]
+    rows = [row for group in groups for row in group]
 
     csv_text = rows_to_csv(rows, timings=timings)
     (out_dir / "results.csv").write_text(csv_text)

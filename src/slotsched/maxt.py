@@ -69,10 +69,9 @@ def alpha_split(m: int, lam: Fraction) -> Fraction:
 
 
 def omega_small(m: int, lam: Fraction) -> Fraction:
-    """LP cap for the small-height path; algebraically equals (1-lam)^2."""
-    lam = Fraction(lam)
-    a = alpha_split(m, lam)
-    return (1 - a) * (1 - lam) - a * lam / m
+    """LP cap for the small-height path: (1-a)(1-lam) - a*lam/m with
+    a = alpha_split(m, lam), which simplifies to (1-lam)^2."""
+    return (1 - Fraction(lam)) ** 2
 
 
 def omega_single(m: int, lam: Fraction) -> Fraction:
@@ -547,7 +546,7 @@ def solve_large_heights(
         ids: list[int] = []
         profit = Fraction(0)
         for rank, idx in enumerate(order):
-            host = rank // per_host + 1 if per_host else 1
+            host = rank // per_host + 1
             weight, assign = strips[idx]
             profit += weight
             for jid, slots in assign.items():

@@ -115,16 +115,8 @@ def feasible(
         return True
     horizon = max(j.due for j in jobs)
     _check_limits(jobs, horizon, max(m, 1), limits)
-    if m < 1:
+    if m < 1 or host_lower_bound(instance, jobs) > m:
         return False
-    # necessary interval-area bound in every dimension
-    for a in range(1, horizon + 1):
-        for b in range(a, horizon + 1):
-            inside = [j for j in jobs if a <= j.release and j.due <= b]
-            for i in range(instance.dim):
-                work = sum((j.length * j.demand[i] for j in inside), Fraction(0))
-                if work > m * (b - a + 1):
-                    return False
 
     n = len(jobs)
     memo: dict[tuple[int, tuple[int, ...]], bool] = {}

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from slotsched import experiments
 from slotsched.experiments import (
     CSV_COLUMNS,
     compare,
@@ -16,6 +17,7 @@ from slotsched.experiments import (
     summarize,
 )
 from slotsched.generator import GenSpec, generate
+from slotsched.minr import MinRParams, solve_minr
 from slotsched.model import Instance, Job
 from slotsched.oracle import OracleLimits
 
@@ -80,9 +82,37 @@ def test_compare_records_failures_as_rows():
     assert by_solver["general"].status == "ok"
 
 
-def test_compare_unknown_solver_rejected():
+def counting_exact_maxt(monkeypatch) -> list:
+    """Wrap experiments.exact_maxt; the returned list grows by one per call."""
+    calls = []
+    real = experiments.exact_maxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "exact_maxt", counted)
+    return calls
+
+
+def test_compare_unknown_solver_rejected(monkeypatch):
     with pytest.raises(ValueError, match="unknown solver"):
         compare(tiny_laminar(), ["nonesuch"])
+    # a known name ahead of the unknown one runs neither its oracle nor itself
+    calls = counting_exact_maxt(monkeypatch)
+    with pytest.raises(ValueError, match="unknown solver 'nonesuch'"):
+        compare(tiny_laminar(), ["laminar", "nonesuch"])
+    assert calls == []
+
+
+def test_compare_seeds_each_solver_with_seed_and_name():
+    instance = tiny_laminar()
+    rows = compare(instance, ["laminar", "minr", "logn"], seed=11,
+                   oracle_limits=OracleLimits(max_hosts=4))
+    assert [row.seed for row in rows] == ["11:laminar", "11:minr", "11:logn"]
+    # the recorded seed is the one the solver ran with: it reproduces the row
+    rerun = solve_minr(instance, MinRParams(), seed="11:minr")
+    assert rows[1].value == str(rerun.hosts_used)
 
 
 def test_oracle_column_empty_beyond_limits():
@@ -152,10 +182,30 @@ def test_batch_writes_artifacts_and_summary(tmp_path):
 
 
 def test_batch_deterministic_and_pool_size_independent(tmp_path):
-    run_batch(BATCH_CONFIG, tmp_path / "a", workers=1)
-    run_batch(BATCH_CONFIG, tmp_path / "b", workers=4)
-    for name in ("results.csv", "summary.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    seeded = dict(BATCH_CONFIG, solvers=["laminar", "minr"])
+    for k, config in enumerate((BATCH_CONFIG, seeded)):
+        run_batch(config, tmp_path / f"a{k}", workers=1)
+        run_batch(config, tmp_path / f"b{k}", workers=4)
+        for name in ("results.csv", "summary.json"):
+            a = (tmp_path / f"a{k}" / name).read_bytes()
+            assert a == (tmp_path / f"b{k}" / name).read_bytes()
+
+
+def test_batch_runs_the_oracle_once_per_instance(tmp_path, monkeypatch):
+    calls = counting_exact_maxt(monkeypatch)
+    run_batch(BATCH_CONFIG, tmp_path / "out", workers=2)
+    assert len(calls) == 3  # three instances, two profit solvers each
+
+
+def test_batch_rows_are_compare_on_each_instance(tmp_path):
+    run_batch(BATCH_CONFIG, tmp_path / "out")
+    rows = []
+    for k in range(3):
+        instance = generate(GenSpec(jobs=4, hosts=2, horizon=4, slack=Fraction(1, 3),
+                                    seed=f"sweep:g0:i{k}"))
+        rows += compare(instance, BATCH_CONFIG["solvers"], label=f"tiny-{k}",
+                        seed=f"sweep:g0:i{k}")
+    assert (tmp_path / "out" / "results.csv").read_text() == rows_to_csv(rows)
 
 
 def test_batch_adding_a_solver_keeps_other_rows(tmp_path):
