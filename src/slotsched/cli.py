@@ -7,7 +7,7 @@ approximation pipelines, `oracle` runs the exhaustive reference solvers,
 sweeps with CSV output.
 
 Conventions: every command accepts --seed (commands without randomness
-record it but ignore it); results go to stdout unless --out is given;
+accept and ignore it); results go to stdout unless --out is given;
 relative output paths resolve under $SLOTSCHED_OUT when that variable is
 set.  The exit code is 0 only when everything requested succeeded —
 solver errors inside compare/batch still produce rows, but the exit code
@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,27 +75,23 @@ def _rational(text: str) -> Fraction:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", default="0", help="random seed (recorded even where unused)")
+    parser.add_argument("--seed", default="0",
+                        help="random seed (accepted and ignored where nothing is random)")
     parser.add_argument("--out", help="output file (default: stdout); relative paths resolve under $SLOTSCHED_OUT")
 
 
 # -- command implementations -------------------------------------------------------
 
 
+def _from_options(cls, args):
+    """Dataclass `cls` built from the options given, so that every option
+    left out (None) takes its default from the dataclass."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names and v is not None})
+
+
 def _cmd_gen(args) -> int:
-    spec = GenSpec(
-        jobs=args.jobs,
-        hosts=args.hosts,
-        horizon=args.horizon,
-        slack=args.slack,
-        dim=args.dim,
-        laminar=not args.general,
-        weight_mode=args.weight_mode,
-        demand_lo=args.demand_lo,
-        demand_hi=args.demand_hi,
-        seed=args.seed,
-    )
-    instance = generate(spec)
+    instance = generate(_from_options(GenSpec, args))
     _emit(dumps_canonical(instance_to_json(instance)), args.out)
     return 0
 
@@ -130,31 +127,14 @@ def _cmd_solve_maxt(args) -> int:
     return _solve(args, args.solver, lam=args.lam)
 
 
-def _minr_params(args) -> MinRParams:
-    kwargs = {}
-    if args.c is not None:
-        kwargs["c"] = args.c
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
-    if args.theta is not None:
-        kwargs["theta"] = args.theta
-    if args.omega is not None:
-        kwargs["omega"] = args.omega
-    if args.max_retries is not None:
-        kwargs["max_retries"] = args.max_retries
-    return MinRParams(**kwargs)
-
-
 def _cmd_solve_minr(args) -> int:
     solver = "minr-partition" if args.partition else "minr"
-    return _solve(args, solver, minr_params=_minr_params(args))
+    return _solve(args, solver, minr_params=_from_options(MinRParams, args))
 
 
 def _cmd_oracle(args) -> int:
     instance = load_instance(args.instance)
-    limits = OracleLimits(
-        max_jobs=args.max_jobs, max_horizon=args.max_horizon, max_hosts=args.max_hosts
-    )
+    limits = _from_options(OracleLimits, args)
     try:
         if args.problem == "maxt":
             weight, ids = exact_maxt(instance, limits=limits)
@@ -227,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, required=True)
     p.add_argument("--hosts", type=int, default=2)
     p.add_argument("--horizon", type=int, default=8)
-    p.add_argument("--slack", type=_rational, default=Fraction(1, 3),
-                   help="max job length as a fraction of its window (default 1/3)")
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--general", action="store_true",
+    p.add_argument("--slack", type=_rational,
+                   help=f"max job length as a fraction of its window (default {GenSpec.slack})")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--general", dest="laminar", action="store_false", default=None,
                    help="arbitrary windows (default: laminar, drawn from the interval tree)")
-    p.add_argument("--weight-mode", choices=("random", "area"), default="random")
-    p.add_argument("--demand-lo", type=_rational, default=Fraction(1, 10))
-    p.add_argument("--demand-hi", type=_rational, default=Fraction(1))
+    p.add_argument("--weight-mode", choices=("random", "area"))
+    p.add_argument("--demand-lo", type=_rational)
+    p.add_argument("--demand-hi", type=_rational)
     _add_common(p)
     p.set_defaults(fn=_cmd_gen)
 
@@ -254,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-minr", help="minimize hosts to complete all jobs")
     p.add_argument("instance")
-    p.add_argument("--c", type=_rational, default=None, help="oversampling factor (default 6)")
-    p.add_argument("--epsilon", type=_rational, default=None)
-    p.add_argument("--theta", type=_rational, default=None)
-    p.add_argument("--omega", type=_rational, default=None)
-    p.add_argument("--max-retries", type=int, default=None)
+    p.add_argument("--c", type=_rational, help=f"oversampling factor (default {MinRParams.c})")
+    p.add_argument("--epsilon", type=_rational)
+    p.add_argument("--theta", type=_rational)
+    p.add_argument("--omega", type=_rational)
+    p.add_argument("--max-retries", type=int)
     p.add_argument("--partition", action="store_true",
                    help="partition jobs by window size and solve per slab")
     _add_common(p)
@@ -267,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive reference solvers (tiny instances)")
     p.add_argument("instance")
     p.add_argument("--problem", choices=("maxt", "minr"), default="maxt")
-    p.add_argument("--max-jobs", type=int, default=6)
-    p.add_argument("--max-horizon", type=int, default=6)
-    p.add_argument("--max-hosts", type=int, default=2)
+    p.add_argument("--max-jobs", type=int)
+    p.add_argument("--max-horizon", type=int)
+    p.add_argument("--max-hosts", type=int)
     _add_common(p)
     p.set_defaults(fn=_cmd_oracle)
 
@@ -298,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--seed", default="0",
-                   help="recorded for symmetry; the config file's seed governs the sweep")
+                   help="accepted and ignored; the config file's seed governs the sweep")
     p.set_defaults(fn=_cmd_batch)
 
     return parser

@@ -20,7 +20,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +35,8 @@ from .minr import MinRParams, partition_by_window, solve_minr
 from .model import (
     Instance,
     _is_int,
+    _rational_field,
+    dataclass_from_json,
     dumps_canonical,
     format_rational,
     instance_to_json,
@@ -271,23 +273,6 @@ def summarize(rows: list[dict]) -> dict:
 # -- batch sweeps --------------------------------------------------------------------
 
 
-def _config_mapping(value, field: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"batch config field {field!r} must be a JSON object")
-    return value
-
-
-def _config_fields(value, field: str, param_type) -> dict:
-    mapping = _config_mapping(value, field)
-    allowed = {f.name for f in dataclass_fields(param_type)}
-    bad = set(mapping) - allowed
-    if bad:
-        raise ValueError(
-            f"unknown {field} fields: {sorted(bad)}; known: {sorted(allowed)}"
-        )
-    return mapping
-
-
 def _parse_batch_config(config):
     if not isinstance(config, dict):
         raise ValueError("batch config must be a JSON object")
@@ -301,38 +286,37 @@ def _parse_batch_config(config):
     gen_entries = config.get("gen", [])
     if not isinstance(gen_entries, list):
         raise ValueError("batch config field 'gen' must be a list of generator specs")
-    gen_specs = []
+    gen_specs = {}  # label -> (spec, count)
     for gi, entry in enumerate(gen_entries):
-        entry = dict(_config_mapping(entry, f"gen[{gi}]"))
+        if not isinstance(entry, dict):
+            raise ValueError(f"batch config field 'gen[{gi}]' must be a JSON object")
+        entry = dict(entry)
         count = entry.pop("count", 1)
-        if not _is_int(count):
+        if not _is_int(count) or count < 0:
             raise ValueError(
-                f"batch config field 'gen[{gi}].count' must be an integer, got {count!r}"
+                f"batch config field 'gen[{gi}].count' must be an integer >= 0, got {count!r}"
             )
         label = entry.pop("label", f"gen{gi}")
+        # the label names this entry's files in instances/
+        plain = isinstance(label, str) and label and not set(label) & set("/\\\0")
+        if not plain or label in gen_specs:
+            raise ValueError(
+                f"batch config field 'gen[{gi}].label' must be a unique plain name, got {label!r}"
+            )
         entry.pop("seed", None)  # seeds are derived, never taken from specs
-        gen_specs.append((label, spec_from_json(entry), count))
+        gen_specs[label] = spec_from_json(entry), count
     solvers = config.get("solvers", [])
-    if not isinstance(solvers, list):
+    if not isinstance(solvers, list) or not all(isinstance(s, str) for s in solvers):
         raise ValueError("batch config field 'solvers' must be a list of solver names")
     solvers = _check_solvers(solvers)
-    if "oracle" in config:
-        limits = OracleLimits(**_config_fields(config["oracle"], "oracle", OracleLimits))
-    else:
-        limits = DEFAULT_LIMITS
-    lam = parse_rational(config["lam"]) if "lam" in config else None
-    minr_params = None
-    if "minr" in config:
-        raw = _config_fields(config["minr"], "minr", MinRParams)
-        retries = raw.get("max_retries", 0)
-        if not _is_int(retries):
-            raise ValueError(
-                f"batch config field 'minr.max_retries' must be an integer, got {retries!r}"
-            )
-        minr_params = MinRParams(**{
-            k: v if k == "max_retries" else parse_rational(v)
-            for k, v in raw.items()
-        })
+    limits = (
+        dataclass_from_json(OracleLimits, config["oracle"], "oracle")
+        if "oracle" in config else DEFAULT_LIMITS
+    )
+    lam = _rational_field(config["lam"], "lam", "batch config") if "lam" in config else None
+    minr_params = (
+        dataclass_from_json(MinRParams, config["minr"], "minr") if "minr" in config else None
+    )
     if "acceptance" in config and not isinstance(config["acceptance"], str):
         raise ValueError("batch config field 'acceptance' must be a test-file path")
     return seed, gen_specs, solvers, limits, lam, minr_params
@@ -366,13 +350,13 @@ def run_batch(
     up as an error row (and in the summary's error counts), never as a
     crashed batch.
     """
+    seed, gen_specs, solvers, limits, lam, minr_params = _parse_batch_config(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed, gen_specs, solvers, limits, lam, minr_params = _parse_batch_config(config)
 
     instance_dir = out_dir / "instances"
     instances = []  # (name, instance, inst_seed)
-    for gi, (label, spec, count) in enumerate(gen_specs):
+    for gi, (label, (spec, count)) in enumerate(gen_specs.items()):
         for k in range(count):
             inst_seed = f"{seed}:g{gi}:i{k}"
             instance = generate(replace(spec, seed=inst_seed))

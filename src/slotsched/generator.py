@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .laminar import build_tree
-from .model import Instance, Job, _is_int, parse_rational
+from .model import Instance, Job, dataclass_from_json
 
 __all__ = ["GenSpec", "generate", "generate_many", "spec_from_json"]
 
@@ -63,31 +63,8 @@ class GenSpec:
 
 
 def spec_from_json(obj: dict) -> GenSpec:
-    """Build a GenSpec from a JSON object (rationals as ints or "p/q",
-    integer fields as JSON integers).  Raises ValueError naming the field on
-    malformed input."""
-    known = {
-        "jobs", "hosts", "horizon", "slack", "dim", "laminar",
-        "weight_mode", "demand_lo", "demand_hi", "seed",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown generator fields: {sorted(unknown)}")
-    missing = {"jobs", "hosts", "horizon"} - set(obj)
-    if missing:
-        raise ValueError(f"missing generator fields: {sorted(missing)}")
-    kwargs = dict(obj)
-    for key in ("jobs", "hosts", "horizon", "dim"):
-        if key in kwargs and not _is_int(kwargs[key]):
-            raise ValueError(f"generator field {key!r} must be an integer, got {kwargs[key]!r}")
-    if not isinstance(kwargs.get("laminar", True), bool):
-        raise ValueError(
-            f"generator field 'laminar' must be true or false, got {kwargs['laminar']!r}"
-        )
-    for key in ("slack", "demand_lo", "demand_hi"):
-        if key in kwargs:
-            kwargs[key] = parse_rational(kwargs[key])
-    return GenSpec(**kwargs)
+    """A GenSpec from a JSON object, as `model.dataclass_from_json` reads it."""
+    return dataclass_from_json(GenSpec, obj, "generator")
 
 
 def _draw_demand(rng: random.Random, spec: GenSpec) -> tuple[Fraction, ...]:

@@ -15,10 +15,11 @@ module touches floating point, so feasibility checks are decidable exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from contextlib import suppress
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from functools import cache, cached_property
+from typing import Iterable, Mapping, Sequence, get_args, get_type_hints
 
 
 def parse_rational(value) -> Fraction:
@@ -344,6 +345,65 @@ def _rational_field(value, key: str, where: str) -> Fraction:
         return parse_rational(value)
     except ValueError as exc:
         raise ValueError(f"{where}: field {key!r}: {exc}") from None
+
+
+# What a dataclass field of each type reads from JSON, as named in errors.
+_JSON_NOUNS = {
+    int: "an integer",
+    bool: "true or false",
+    str: "a string",
+    type(None): "null",
+    Fraction: "a rational (an integer or a 'p/q' string)",
+}
+
+
+@cache
+def _json_schema(cls) -> tuple[dict, frozenset]:
+    """Per field of dataclass `cls`, the members of its type's union in
+    declared order; and the names of the fields without a default."""
+    hints = get_type_hints(cls)
+    kinds = {f.name: get_args(hints[f.name]) or (hints[f.name],) for f in fields(cls)}
+    required = frozenset(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return kinds, required
+
+
+def _read_json(kinds, value):
+    """`value` read as the first of `kinds` that fits; ValueError if none does."""
+    for kind in kinds:
+        if kind is Fraction:
+            with suppress(ValueError):
+                return parse_rational(value)
+        elif type(value) is kind:  # a bool is no int here
+            return value
+    raise ValueError
+
+
+def dataclass_from_json(cls, obj, name: str):
+    """Dataclass `cls` built from the JSON object `obj`.  Every key must name
+    a field, fields without a default are required, and each value is read by
+    its field's declared type, taking the first member of a union that fits.
+    Raises ValueError naming `name` and the field on malformed input."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{name!r} must be a JSON object, got {type(obj).__name__}")
+    kinds, required = _json_schema(cls)
+    unknown = obj.keys() - kinds.keys()
+    if unknown:
+        raise ValueError(
+            f"unknown {name} fields: {sorted(unknown, key=str)}; known: {sorted(kinds)}"
+        )
+    missing = required - obj.keys()
+    if missing:
+        raise ValueError(f"missing {name} fields: {sorted(missing)}")
+    kwargs = {}
+    for key, value in obj.items():
+        try:
+            kwargs[key] = _read_json(kinds[key], value)
+        except ValueError:
+            nouns = " or ".join(_JSON_NOUNS[kind] for kind in kinds[key])
+            raise ValueError(f"{name} field {key!r} must be {nouns}, got {value!r}") from None
+    return cls(**kwargs)
 
 
 def job_from_json(obj: Mapping, dim: int) -> Job:

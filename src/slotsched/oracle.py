@@ -15,7 +15,7 @@ componentwise monotone), so the restriction is exact, and memoization on
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -218,11 +218,7 @@ def exact_minr(instance: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> int
         return 0
     # more hosts only ever helps the search, so the host cap must not bind
     # the increment loop; n hosts is the worst case tried
-    lim = OracleLimits(
-        max_jobs=limits.max_jobs,
-        max_horizon=limits.max_horizon,
-        max_hosts=max(limits.max_hosts, len(instance.jobs)),
-    )
+    lim = replace(limits, max_hosts=max(limits.max_hosts, len(instance.jobs)))
     m = max(1, host_lower_bound(instance))
     while not feasible(instance, hosts=m, limits=lim):
         m += 1

@@ -415,18 +415,34 @@ def _batch_with(spec=None, **config):
         (_batch_with({"dim": True}), "dim"),
         (_batch_with(minr={"max_retries": 2.7}), "max_retries"),
         ({"gen": [{"hosts": 2, "horizon": 4}]}, "jobs"),
+        (_batch_with(oracle={"max_jobs": "3"}), "'max_jobs'"),
+        (_batch_with(oracle={"max_jobs": 2.5}), "'max_jobs'"),
+        (_batch_with(solvers=[["laminar"]]), "'solvers'"),
+        (_batch_with({"count": -3}), "count"),
+        (_batch_with({"label": "TMP/escaped"}), "label"),
+        (_batch_with({"label": "../x"}), "label"),
+        ({**_batch_with(), "gen": [GOOD_SPEC, GOOD_SPEC]}, "label"),
+        (_batch_with(lam="x/y"), "'lam'"),
+        (_batch_with(minr={"c": "x/y"}), "'c'"),
     ],
     ids=["jobs-float", "jobs-string", "count-float", "laminar-string", "dim-bool",
-         "max-retries-float", "jobs-missing"],
+         "max-retries-float", "jobs-missing", "oracle-string", "oracle-float",
+         "solvers-nested", "count-negative", "label-absolute", "label-parent",
+         "label-repeated", "lam-not-rational", "c-not-rational"],
 )
 def test_malformed_batch_config_is_a_clean_error(tmp_path, capsys, config, field):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config))
-    code, out, err = run(capsys, "batch", str(cfg), "--out-dir", str(tmp_path / "b"))
+    # "TMP" stands for tmp_path: an absolute label outside --out-dir
+    cfg.write_text(json.dumps(config).replace("TMP", str(tmp_path)))
+    out_dir = tmp_path / "b"
+    code, out, err = run(capsys, "batch", str(cfg), "--out-dir", str(out_dir))
     assert code == 1
     assert err.startswith("error:") and field in err
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert out == ""
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and out_dir not in p.parents]
+    assert written == [cfg]
 
 
 def test_solve_maxt_logn_searches_past_the_recursion_limit(tmp_path, capsys):

@@ -96,6 +96,15 @@ def test_spec_from_json_parses_rationals():
         spec_from_json({"jobs": 4, "hosts": 2, "horizon": 8, "bogus": 1})
 
 
+def test_spec_from_json_reads_a_union_by_its_first_fitting_member():
+    base = {"jobs": 4, "hosts": 2, "horizon": 8}
+    assert spec_from_json({**base, "seed": 7}).seed == 7
+    assert spec_from_json({**base, "seed": "7"}).seed == "7"
+    for bad in (2.5, True, None):
+        with pytest.raises(ValueError, match="'seed' must be an integer or a string"):
+            spec_from_json({**base, "seed": bad})
+
+
 def test_generate_many_prefix_stable():
     spec = GenSpec(jobs=5, hosts=2, horizon=8, seed="base")
     three = [canon(i) for i in generate_many(spec, 3)]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slotsched.experiments import SOLVER_NAMES, _parse_batch_config
 from slotsched.generator import GenSpec, generate
 from slotsched.model import (
     Instance,
@@ -288,3 +289,48 @@ def test_loaders_either_load_or_raise_value_error(instance, schedule):
             load(obj)
         except ValueError:
             pass
+
+
+def _optional(**strategies):
+    return st.fixed_dictionaries({}, optional={k: _mostly(v) for k, v in strategies.items()})
+
+
+_rational = st.sampled_from([1, "1/3", "1/2", "7/2", "1/20"])
+_near_gen = st.fixed_dictionaries(
+    {
+        "jobs": _mostly(st.integers(0, 3)),
+        "hosts": _mostly(st.integers(1, 2)),
+        "horizon": _mostly(st.integers(1, 8)),
+    },
+    optional={
+        "slack": _mostly(_rational),
+        "dim": _mostly(st.integers(1, 2)),
+        "laminar": _mostly(st.booleans()),
+        "weight_mode": _mostly(st.sampled_from(["random", "area"])),
+        "demand_lo": _mostly(_rational),
+        "demand_hi": _mostly(_rational),
+        "seed": _json,
+        "count": _mostly(st.integers(0, 2)),
+        "label": _mostly(st.sampled_from(["a", "b"])),
+    },
+)
+_near_batch = _optional(
+    seed=st.integers(0, 3) | st.text(max_size=3),
+    gen=st.lists(_mostly(_near_gen), max_size=2),
+    solvers=st.lists(_mostly(st.sampled_from(SOLVER_NAMES)), max_size=2),
+    oracle=_optional(max_jobs=st.integers(0, 6), max_horizon=st.integers(0, 6),
+                     max_hosts=st.integers(0, 2)),
+    lam=_rational,
+    minr=_optional(c=_rational, epsilon=_rational, omega=_rational, theta=_rational,
+                   max_retries=st.integers(1, 3)),
+    acceptance=st.just("check.py"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_near_batch | _json)
+def test_batch_config_parser_either_parses_or_raises_value_error(config):
+    try:
+        _parse_batch_config(config)
+    except ValueError:
+        pass
