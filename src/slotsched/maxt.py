@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from slotsched.laminar import forest_order, is_laminar, transform_instance, window_forest
@@ -236,12 +237,19 @@ WHITE, GRAY, BLACK = "white", "gray", "black"
 
 
 class SlotBins:
-    """Mutable bin state for one packing run: m hosts x T slots, scalar loads."""
+    """Mutable bin state for one packing run: m hosts x T slots, scalar loads.
+
+    Loads are Python ints over one common denominator `_scale` (a bin's load
+    is `_load[(h, t)] / _scale`).  A height whose denominator does not divide
+    `_scale` widens it to their lcm and rescales every stored load, so every
+    fit test is an integer comparison.  `load` and `load_of` give the exact
+    `Fraction` view; `color` and `pairs` record the pairing packer's bins."""
 
     def __init__(self, hosts: int, horizon: int):
         self.hosts = hosts
         self.horizon = horizon
-        self.load: dict[tuple[int, int], Fraction] = {}
+        self._scale = 1
+        self._load: dict[tuple[int, int], int] = {}
         self.color: dict[tuple[int, int], str] = {}
         self.pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
         # per slot, kept by allocate_pairing: its gray bin's host, and how
@@ -249,14 +257,30 @@ class SlotBins:
         self._gray: dict[int, int] = {}
         self._colored: dict[int, int] = {}
 
+    @property
+    def load(self) -> dict[tuple[int, int], Fraction]:
+        """Every bin ever placed on, in first-placement order, with its load."""
+        return {b: Fraction(v, self._scale) for b, v in self._load.items()}
+
     def load_of(self, h: int, t: int) -> Fraction:
-        return self.load.get((h, t), Fraction(0))
+        return Fraction(self._load.get((h, t), 0), self._scale)
 
     def color_of(self, h: int, t: int) -> str:
         return self.color.get((h, t), WHITE)
 
+    def _units(self, q: Fraction) -> int:
+        """`q` as an integer over `_scale`, widening the scale to fit it."""
+        den = q.denominator
+        if self._scale % den:
+            factor = den // gcd(self._scale, den)
+            self._scale *= factor
+            for b in self._load:
+                self._load[b] *= factor
+        return q.numerator * (self._scale // den)
+
     def place(self, h: int, t: int, height: Fraction) -> None:
-        self.load[(h, t)] = self.load_of(h, t) + height
+        u = self._units(height)  # first: widening rescales the stored loads
+        self._load[(h, t)] = self._load.get((h, t), 0) + u
 
     def allocate_pairing(self, job_id: int, height: Fraction, avail: Iterable[int]) -> tuple[int, int]:
         """One processing unit of a job into one slot of `avail`.
@@ -270,6 +294,9 @@ class SlotBins:
         # at most one gray (one opens only where none is in reach), and its
         # non-white bins are hosts 1..k (each one colored was the first white),
         # so the first white bin in a slot is host k + 1.
+        u = self._units(height)
+        room = self._scale - u  # a gray fits when its load is at most this
+        load = self._load
         first_gray = first_fit = white = None
         for t in avail:
             k = self._colored.get(t, 0)
@@ -280,16 +307,16 @@ class SlotBins:
                 b = (h, t)
                 if first_gray is None or b < first_gray:
                     first_gray = b
-                if self.load[b] + height <= 1 and (first_fit is None or b < first_fit):
+                if load[b] <= room and (first_fit is None or b < first_fit):
                     first_fit = b
         if first_fit is not None:
-            self.place(*first_fit, height)
+            load[first_fit] += u
             return first_fit
         if white is None:
             if first_gray is not None:
                 raise ScheduleError(job_id, "no gray bin fits and no white bin available")
             raise ScheduleError(job_id, "no white bin available to open")
-        self.place(*white, height)
+        load[white] = load.get(white, 0) + u
         self._colored[white[1]] = white[0]
         if first_gray is None:
             self.color[white] = GRAY
@@ -303,8 +330,9 @@ class SlotBins:
 
     def open_host(self, t: int, cap: Fraction) -> int | None:
         """Lowest host whose bin at t is strictly less than `cap` full."""
+        limit, load = self._units(cap), self._load
         for h in range(1, self.hosts + 1):
-            if self.load_of(h, t) < cap:
+            if load.get((h, t), 0) < limit:
                 return h
         return None
 
@@ -328,15 +356,18 @@ class SlotBins:
         host is less than (1 - height) full, each on the lowest such host.
         Raises ScheduleError, having placed nothing, when fewer slots qualify."""
         cap = 1 - height
-        good = [t for t in slots if self.open_host(t, cap) is not None]
-        if len(good) < units:
-            raise ScheduleError(job_id, f"only {len(good)} open slots for {units} units")
-        spots: set[tuple[int, int]] = set()
-        for t in good[:units]:
+        found: list[tuple[int, int]] = []
+        for t in slots:  # one scan finds each slot and its host together
+            if len(found) == units:
+                break
             h = self.open_host(t, cap)
+            if h is not None:
+                found.append((h, t))
+        if len(found) < units:
+            raise ScheduleError(job_id, f"only {len(found)} open slots for {units} units")
+        for h, t in found:
             self.place(h, t, height)
-            spots.add((h, t))
-        return spots
+        return set(found)
 
 
 def schedule_selected(
@@ -437,19 +468,41 @@ def best_subset(
 
 def _edf(sel: Sequence[Job], horizon: int) -> dict[int, set[int]] | None:
     """Earliest-due-date slot assignment of `sel` on one host over slots
-    1..horizon, or None when some job misses its window."""
-    remaining = {j.id: j.length for j in sel}
+    1..horizon, or None when some job misses its window.
+
+    In every slot the host runs the released, unfinished job of earliest due
+    date (ties by id), which decides preemptive one-machine feasibility with
+    release times and due dates exactly (Horn 1974).  The simulation jumps
+    from event to event: the job on top of a (due, id) heap runs until it
+    completes, the next job is released or its due date passes, and the
+    result maps each job id, in `sel` order, to the slots it ran in."""
     assign: dict[int, set[int]] = {j.id: set() for j in sel}
-    for t in range(1, horizon + 1):
-        ready = [j for j in sel if j.release <= t <= j.due and remaining[j.id] > 0]
+    pending = sorted(sel, key=lambda j: j.release, reverse=True)  # next release last
+    ready: list[list[int]] = []  # heap of [due, id, remaining length]
+    t = 1
+    while t <= horizon:
+        while pending and pending[-1].release <= t:
+            job = pending.pop()
+            heappush(ready, [job.due, job.id, job.length])
         if not ready:
+            if not pending:
+                return assign
+            t = pending[-1].release  # idle until the next release
             continue
-        job = min(ready, key=lambda j: (j.due, j.id))
-        remaining[job.id] -= 1
-        assign[job.id].add(t)
-    if any(remaining.values()):
-        return None
-    return assign
+        top = ready[0]
+        due, jid, left = top
+        if due < t:
+            return None
+        stop = min(t + left, due + 1, horizon + 1)
+        if pending:
+            stop = min(stop, pending[-1].release)
+        assign[jid].update(range(t, stop))
+        if stop - t == left:
+            heappop(ready)
+        else:
+            top[2] = left - (stop - t)
+        t = stop
+    return None if ready or pending else assign
 
 
 def single_host_throughput(

@@ -171,10 +171,13 @@ class Instance:
 
 def slackness(instance: Instance) -> Fraction:
     """max_j length / window-size; 0 for an empty instance."""
-    return max(
-        (Fraction(job.length, job.window.size) for job in instance.jobs),
-        default=Fraction(0),
-    )
+    # compare the ratios by cross-multiplying and build one Fraction at the end
+    length, size = 0, 1
+    for job in instance.jobs:
+        window = job.window.size
+        if job.length * size > length * window:
+            length, size = job.length, window
+    return Fraction(length, size)
 
 
 @dataclass(frozen=True)

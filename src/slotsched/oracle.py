@@ -28,6 +28,11 @@ class OracleLimits:
     max_horizon: int = 6
     max_hosts: int = 2
 
+    def __post_init__(self):
+        for name in ("max_jobs", "max_horizon", "max_hosts"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+
 
 DEFAULT_LIMITS = OracleLimits()
 

@@ -445,6 +445,18 @@ def test_malformed_batch_config_is_a_clean_error(tmp_path, capsys, config, field
     assert written == [cfg]
 
 
+def test_batch_rejects_a_negative_oracle_limit(tmp_path, capsys):
+    # a negative limit would turn every oracle lookup into LimitExceeded
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_batch_with(oracle={"max_jobs": -1})))
+    code, out, err = run(capsys, "batch", str(cfg), "--out-dir", str(tmp_path / "b"))
+    assert code == 1
+    assert err.startswith("error:") and "max_jobs" in err
+    assert err.count("\n") == 1
+    assert out == ""
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
+
+
 def test_solve_maxt_logn_searches_past_the_recursion_limit(tmp_path, capsys):
     # 1,050 unit jobs for two slots on one host: one height class, one search
     jobs = [

@@ -7,6 +7,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotsched.laminar import build_tree, forest_order
 from slotsched.model import Instance, Job, Schedule, area, density, slackness, validate
@@ -15,6 +17,7 @@ from slotsched.maxt import (
     MaxTResult,
     ScheduleError,
     SlotBins,
+    _edf,
     alpha_split,
     best_subset,
     class_hosts,
@@ -491,6 +494,140 @@ def test_open_host_strict_threshold():
     assert bins.open_host(2, Fraction(1, 2)) == 1
 
 
+class _FractionBins:
+    """The former SlotBins, which kept every load as a Fraction; pins the
+    integer loads of SlotBins across scale widenings."""
+
+    def __init__(self, hosts, horizon):
+        self.hosts, self.horizon = hosts, horizon
+        self.load, self.color, self.pairs = {}, {}, []
+        self._gray, self._colored = {}, {}
+
+    def load_of(self, h, t):
+        return self.load.get((h, t), Fraction(0))
+
+    def place(self, h, t, height):
+        self.load[(h, t)] = self.load_of(h, t) + height
+
+    def allocate_pairing(self, job_id, height, avail):
+        first_gray = first_fit = white = None
+        for t in avail:
+            k = self._colored.get(t, 0)
+            if k < self.hosts and (white is None or (k + 1, t) < white):
+                white = (k + 1, t)
+            h = self._gray.get(t)
+            if h is not None:
+                b = (h, t)
+                if first_gray is None or b < first_gray:
+                    first_gray = b
+                if self.load[b] + height <= 1 and (first_fit is None or b < first_fit):
+                    first_fit = b
+        if first_fit is not None:
+            self.place(*first_fit, height)
+            return first_fit
+        if white is None:
+            if first_gray is not None:
+                raise ScheduleError(job_id, "no gray bin fits and no white bin available")
+            raise ScheduleError(job_id, "no white bin available to open")
+        self.place(*white, height)
+        self._colored[white[1]] = white[0]
+        if first_gray is None:
+            self.color[white] = "gray"
+            self._gray[white[1]] = white[0]
+            return white
+        del self._gray[first_gray[1]]
+        self.color[first_gray] = "black"
+        self.color[white] = "black"
+        self.pairs.append((first_gray, white))
+        return white
+
+    def open_host(self, t, cap):
+        for h in range(1, self.hosts + 1):
+            if self.load_of(h, t) < cap:
+                return h
+        return None
+
+    def place_smallfit(self, job_id, height, slots, units):
+        cap = 1 - height
+        good = [t for t in slots if self.open_host(t, cap) is not None]
+        if len(good) < units:
+            raise ScheduleError(job_id, f"only {len(good)} open slots for {units} units")
+        spots = set()
+        for t in good[:units]:
+            h = self.open_host(t, cap)
+            self.place(h, t, height)
+            spots.add((h, t))
+        return spots
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ScheduleError as exc:
+        return str(exc)
+
+
+# pairwise coprime denominators and their products, so nearly every new
+# height widens the scale
+_WIDENING_HEIGHTS = [Fraction(1, 3), Fraction(1, 4), Fraction(2, 7), Fraction(5, 12),
+                     Fraction(1, 5), Fraction(3, 11), Fraction(4, 9), Fraction(6, 7),
+                     Fraction(1, 13), Fraction(1, 2), Fraction(1)]
+
+
+def test_slot_bins_integer_loads_match_fraction_loads():
+    rng = random.Random("slot-bins:widening")
+    outcomes = {"placed": 0, "stuck": 0, "open": 0, "closed": 0}
+    for _ in range(200):
+        hosts, horizon = rng.randint(1, 3), rng.randint(1, 5)
+        bins, ref = SlotBins(hosts, horizon), _FractionBins(hosts, horizon)
+        for unit in range(rng.randint(1, 4 * hosts * horizon)):
+            height = rng.choice(_WIDENING_HEIGHTS)
+            slots = rng.sample(range(1, horizon + 1), rng.randint(0, horizon))
+            op = rng.choice(["pairing", "smallfit", "open_host"])
+            if op == "pairing":
+                got = _outcome(bins.allocate_pairing, unit, height, slots)
+                want = _outcome(ref.allocate_pairing, unit, height, slots)
+            elif op == "smallfit":
+                units = rng.randint(1, horizon)
+                got = _outcome(bins.place_smallfit, unit, height, slots, units)
+                want = _outcome(ref.place_smallfit, unit, height, slots, units)
+            else:
+                t, cap = rng.randint(1, horizon), rng.choice([height, 1 - height])
+                got, want = bins.open_host(t, cap), ref.open_host(t, cap)
+                outcomes["open" if got else "closed"] += 1
+            assert got == want
+            if op != "open_host":
+                outcomes["stuck" if isinstance(got, str) else "placed"] += 1
+            assert list(bins.load.items()) == list(ref.load.items())
+            assert list(bins.color.items()) == list(ref.color.items())
+            assert bins.pairs == ref.pairs
+        for h in range(1, hosts + 1):
+            for t in range(1, horizon + 1):
+                assert bins.load_of(h, t) == ref.load_of(h, t)
+    assert min(outcomes.values()) >= 50
+
+
+def test_slot_bins_fit_edges_at_a_widened_scale():
+    bins = SlotBins(hosts=2, horizon=1)
+    assert bins.allocate_pairing(1, Fraction(1, 3), [1]) == (1, 1)  # opens the gray
+    assert bins.allocate_pairing(2, Fraction(2, 7), [1]) == (1, 1)
+    # 1/3 + 2/7 + 8/21 is exactly one: the gray fit is `<= 1`
+    assert bins.allocate_pairing(3, Fraction(8, 21), [1]) == (1, 1)
+    assert bins.load_of(1, 1) == 1 and bins.color_of(1, 1) == "gray"
+    # 1/4 widens the scale from 21 to 84 and no longer fits the full gray
+    assert bins.allocate_pairing(4, Fraction(1, 4), [1]) == (2, 1)
+    assert bins._scale == 84
+    assert bins.pairs == [((1, 1), (2, 1))]
+    assert bins.load == {(1, 1): Fraction(1), (2, 1): Fraction(1, 4)}
+    # open_host is strict: host 2 is exactly 1/4 full, so not open below 1/4
+    assert bins.open_host(1, Fraction(1, 4)) is None
+    assert bins.open_host(1, Fraction(1, 4) + Fraction(1, 840)) == 2
+    with pytest.raises(ScheduleError, match="only 0 open slots"):
+        bins.place_smallfit(5, Fraction(3, 4), [1], 1)
+    assert bins.place_smallfit(6, Fraction(3, 4) - Fraction(1, 60), [1], 1) == {(2, 1)}
+    assert bins.load_of(2, 1) == Fraction(1) - Fraction(1, 60)
+
+
 def test_schedule_selected_smallfit_raises_when_short_of_good_slots():
     e = mk(1, 1, 2, 1, Fraction(1, 2), weight=1)
     f = mk(2, 1, 2, 2, Fraction(1, 2), weight=1)
@@ -557,6 +694,69 @@ def test_single_host_searches_past_the_recursion_limit():
     # 1,050 jobs compete for two slots, and the search goes one level per job
     jobs = [mk(jid, 1, 2, 1, 1, weight=Fraction(1, 2**jid)) for jid in range(1, 1051)]
     assert single_host_throughput(jobs) == (Fraction(3, 4), (1, 2), {1: {1}, 2: {2}})
+
+
+def _reference_edf(sel, horizon):
+    """The former slot-by-slot earliest-due-date scan, kept to pin _edf."""
+    remaining = {j.id: j.length for j in sel}
+    assign = {j.id: set() for j in sel}
+    for t in range(1, horizon + 1):
+        ready = [j for j in sel if j.release <= t <= j.due and remaining[j.id] > 0]
+        if not ready:
+            continue
+        job = min(ready, key=lambda j: (j.due, j.id))
+        remaining[job.id] -= 1
+        assign[job.id].add(t)
+    if any(remaining.values()):
+        return None
+    return assign
+
+
+def _same_edf(sel, horizon):
+    got, want = _edf(sel, horizon), _reference_edf(sel, horizon)
+    assert (got is None) == (want is None)
+    if want is not None:  # the same dict, keys in the same order
+        assert list(got.items()) == list(want.items())
+    return want
+
+
+def test_edf_matches_slot_scan():
+    rng = random.Random("edf:reference")
+    seen = {"idle gap": 0, "horizon past due": 0, "equal due": 0, "infeasible": 0}
+    for _ in range(3000):
+        ids = rng.sample(range(1, 30), rng.randint(0, 6))  # unsorted ids
+        dues = [rng.randint(1, 14) for _ in range(2)]  # shared due dates tie often
+        sel = []
+        for jid in ids:
+            r = rng.randint(1, 12)
+            d = max(r, rng.choice(dues + [rng.randint(r, 16)]))
+            sel.append(mk(jid, r, d, rng.randint(1, d - r + 1), 1))
+        last_due = max((j.due for j in sel), default=0)
+        horizon = last_due + rng.choice([-2, 0, 0, 1, 4])
+        want = _same_edf(sel, horizon)
+        if want is None:
+            seen["infeasible"] += 1
+            continue
+        used = set().union(*want.values())
+        seen["idle gap"] += any(t not in used for t in range(1, max((j.release for j in sel), default=1)))
+        seen["horizon past due"] += horizon > last_due
+        seen["equal due"] += len({j.due for j in sel}) < len(sel)
+    assert min(seen.values()) >= 100
+
+
+_edf_job = st.tuples(
+    st.integers(1, 40),  # id
+    st.integers(1, 10),  # release
+    st.integers(0, 6),  # due - release
+    st.integers(1, 7),  # length, clipped to the window
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.lists(_edf_job, max_size=7, unique_by=lambda x: x[0]), past=st.integers(-3, 3))
+def test_edf_matches_slot_scan_on_any_input(raw, past):
+    sel = [mk(jid, r, r + span, min(p, span + 1), 1) for jid, r, span, p in raw]
+    _same_edf(sel, max((j.due for j in sel), default=0) + past)
 
 
 def test_best_subset_keeps_the_first_heaviest_set():

@@ -83,6 +83,13 @@ def test_limits_enforced():
     assert feasible(inst, limits=OracleLimits(max_jobs=8))
 
 
+@pytest.mark.parametrize("field", ["max_jobs", "max_horizon", "max_hosts"])
+def test_limits_reject_negative_values(field):
+    with pytest.raises(ValueError, match=field):
+        OracleLimits(**{field: -1})
+    assert getattr(OracleLimits(**{field: 0}), field) == 0
+
+
 def test_host_lower_bound():
     # four unit-height unit-length jobs in a 2-slot window: 4 work / 2 slots = 2
     jobs = tuple(J(i, 1, 2, 1, 1) for i in (1, 2, 3, 4))
