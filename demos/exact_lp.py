@@ -3,8 +3,10 @@
 
 Builds a small LP by hand, solves it with exact arithmetic, and checks
 the answer the way the test oracles do: primal feasibility, dual
-feasibility, and matching objectives (strong duality).  No floating
-point anywhere — every number below is a fraction.
+feasibility, and matching objectives (strong duality).  Then it adds a
+cutting row to the solved program and re-solves it warm, from the last
+basis, and checks the result against a cold solve.  No floating point
+anywhere — every number below is a fraction.
 
     python3 demos/exact_lp.py
 """
@@ -60,6 +62,20 @@ def main() -> None:
     delta = bumped.objective - sol.objective
     print(f"rhs 10 -> 11 moves the objective by {delta} (dual was {sol.duals[0]})")
     assert delta == sol.duals[0]
+
+    # a row added to a solved program is absorbed into its tableau, and the
+    # next solve resumes from the previous basis instead of starting over
+    print("\n== a cutting row, re-solved warm ==")
+    cut = lp.add_row({y: 1, z: 1}, "<=", 8)
+    print(f"y + z <= 8 cuts off the optimum above (y + z = {sol.x[y] + sol.x[z]})")
+    warm = solve(lp)
+    for var, name in names.items():
+        print(f"  {name} = {warm.x[var]}")
+    print(f"objective = {warm.objective}, dual of the cut = {warm.duals[cut]}")
+    cold = solve(lp, warm=False)
+    print(f"a cold solve agrees: objective {cold.objective}")
+    assert warm.objective == cold.objective < sol.objective
+    assert lp.row_activity(warm.x, cut) <= 8
 
     print("\nall exact: Fractions in, Fractions out.")
 

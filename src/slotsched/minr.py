@@ -2,14 +2,17 @@
 
 The pipeline:
 
-* solve_config_lp: exact column generation on the configuration relaxation.
-  A configuration (S, t) is a job set that fits one host at slot t in all d
-  demand dimensions.  The master minimizes the host count m subject to: at
-  most m configurations active per slot, each (job, slot) covered at most
-  once, each job covered at least `length` times.  Pricing per slot is an
-  exact multi-dimensional knapsack over profits alpha_j - beta_{j,t}; a
-  column enters when its value exceeds gamma_t.  All arithmetic is rational,
-  so m* is the exact LP optimum and a true lower bound on the integer answer.
+* solve_config_lp: exact row-and-column generation on the configuration
+  relaxation.  A configuration (S, t) is a job set that fits one host at
+  slot t in all d demand dimensions.  The master minimizes the host count m
+  subject to: at most m configurations active per slot, each (job, slot)
+  covered at most once, each job covered at least `length` times.  The
+  (job, slot) rows enter the master only once a solution violates them.
+  Pricing per slot is an exact multi-dimensional knapsack over profits
+  alpha_j - beta_{j,t}, with beta_{j,t} = 0 for a pair row not in the
+  master; a column enters when its value exceeds gamma_t.  All arithmetic
+  is rational, so m* is the exact LP optimum and a true lower bound on the
+  integer answer.
 * sample_configurations: ceil(m*) rounds up to m_int; every slot draws m1
   configurations independently (probability x_C / m* each, possibly none),
   then overlapping draws are disjointified in draw order.  Draw i of slot t
@@ -134,47 +137,63 @@ class ConfigLpResult:
     m_int: int
     columns: tuple[tuple[Configuration, Fraction], ...]  # positive-value columns
     column_count: int  # all columns generated, including zero-value ones
+    pair_rows: int  # (job, slot) rows in the final master
     slots: tuple[int, ...]  # slots covered by at least one window
     alpha: dict[int, Fraction]
-    beta: dict[tuple[int, int], Fraction]
+    beta: dict[tuple[int, int], Fraction]  # pair rows in the master; absent ones are 0
     gamma: dict[int, Fraction]
     iterations: int
     trace: tuple[IterationAudit, ...]
 
 
 def solve_config_lp(instance: Instance) -> ConfigLpResult:
-    """Exact optimum of the configuration relaxation by column generation.
+    """Exact optimum of the configuration relaxation by row-and-column
+    generation.
 
-    Rows (all >=): per covered slot t, m - sum of x_C at t >= 0; per (job,
-    slot) in the job's window, -sum of x_C containing the job at t >= -1;
-    per job, sum of x_C containing it >= length.  Slots no window covers
-    never carry a configuration, so they get no row.  The rows start with no
-    column entries, and every column enters through the same `add_column`
-    path: first the seeds, singletons at each job's first `length` window
-    slots, which are feasible on their own; then, in each pass, one column
-    per covered slot whose priced configuration improves, until a full pass
-    adds none.  The trace records, per master solve, the objective, the
-    columns added since the previous solve and the (always zero) worst exact
-    constraint violation.
+    Rows (all >=): per covered slot t, m - sum of x_C at t >= 0; per job,
+    sum of x_C containing it >= length; per (job, slot) in the job's window,
+    -sum of x_C containing the job at t >= -1.  Slots no window covers never
+    carry a configuration, so they get no row.  The master starts with the
+    slot and job rows only, and every column enters through the same
+    `add_config` path: first the seeds, singletons at each job's first
+    `length` window slots, which are feasible on their own; then, in each
+    pass, one column per covered slot whose priced configuration improves.
+
+    Pair rows are generated lazily.  After each master solve, the exact
+    activity of every (job, slot) pair that a positive column covers is
+    checked; each violated pair gets its row, in sorted key order, and the
+    master is solved again, warm.  Pricing runs only once no pair row is
+    violated, with beta holding the duals of the pair rows present (an
+    absent row prices at 0).  The loop stops when a pass adds no column.
+    The solution is then feasible for the full LP, and the duals, with
+    beta = 0 on the absent rows, are feasible for its dual, so m* is the
+    full LP's exact optimum.
+
+    The trace records, per pricing pass, the objective, the columns added
+    since the previous pass and the worst exact violation over all three
+    row families, absent pair rows included (always zero).
     """
     jobs = sorted(instance.jobs, key=lambda j: j.id)
     slots = sorted({t for job in jobs for t in job.window.slots()})
     lp = LinearProgram("min")
     m_var = lp.add_variable(objective=1)
     slot_row = {t: lp.add_row({m_var: 1}, ">=", 0) for t in slots}
-    pair_row = {
-        (job.id, t): lp.add_row({}, ">=", -1) for job in jobs for t in job.window.slots()
-    }
     job_row = {job.id: lp.add_row({}, ">=", job.length) for job in jobs}
+    pair_row: dict[tuple[int, int], int] = {}
 
     configs: list[Configuration] = []  # index-aligned with column variables
     keys: set[tuple[int, tuple[int, ...]]] = set()
+    covers: dict[tuple[int, int], list[int]] = {}  # (job, slot) -> its columns
 
     def add_config(c: Configuration) -> None:
         assert c.key not in keys, "priced an existing column"
+        var = lp.n_vars
         entries = {slot_row[c.slot]: -1}
         for jid in c.jobs:
-            entries[pair_row[(jid, c.slot)]] = -1
+            pair = (jid, c.slot)
+            covers.setdefault(pair, []).append(var)
+            if pair in pair_row:
+                entries[pair_row[pair]] = -1
             entries[job_row[jid]] = 1
         lp.add_column(0, entries)
         keys.add(c.key)
@@ -190,10 +209,28 @@ def solve_config_lp(instance: Instance) -> ConfigLpResult:
         sol = lp_solve(lp)
         if not sol.optimal:
             raise AssertionError(f"configuration master came back {sol.status}")
-        worst = Fraction(0)
-        for i, (_, rel, rhs) in enumerate(lp.rows):
-            assert rel == ">="
-            worst = max(worst, rhs - lp.row_activity(sol.x, i))
+        per_slot: dict[int, Fraction] = {}
+        per_pair: dict[tuple[int, int], Fraction] = {}
+        per_job = {job.id: Fraction(0) for job in jobs}
+        for var, c in enumerate(configs, start=1):
+            x = sol.x[var]
+            if x:
+                per_slot[c.slot] = per_slot.get(c.slot, 0) + x
+                for jid in c.jobs:
+                    per_pair[(jid, c.slot)] = per_pair.get((jid, c.slot), 0) + x
+                    per_job[jid] += x
+        violated = sorted(pair for pair, total in per_pair.items() if total > 1)
+        if violated:
+            for pair in violated:
+                pair_row[pair] = lp.add_row({var: -1 for var in covers[pair]}, ">=", -1)
+            continue
+        m = sol.x[m_var]
+        worst = max([
+            Fraction(0),
+            *(total - m for total in per_slot.values()),
+            *(total - 1 for total in per_pair.values()),
+            *(job.length - per_job[job.id] for job in jobs),
+        ])
         trace.append(IterationAudit(sol.objective, added, worst))
         duals = sol.duals
         alpha = {j.id: duals[job_row[j.id]] for j in jobs}
@@ -217,6 +254,7 @@ def solve_config_lp(instance: Instance) -> ConfigLpResult:
         m_int=math.ceil(m_star),
         columns=columns,
         column_count=len(configs),
+        pair_rows=len(pair_row),
         slots=tuple(slots),
         alpha=alpha,
         beta=beta,

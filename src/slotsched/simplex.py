@@ -14,9 +14,17 @@ public API returns.  The package needs nothing outside the standard library.
 
 Duals are Lagrange multipliers for the rows as written: for a maximization,
 a binding <= row has a nonnegative dual and a binding >= row a nonpositive
-one; for a minimization the signs flip.  Columns can be appended to a solved
-program and the next solve resumes from the previous basis, which is what
-makes column generation affordable.
+one; for a minimization the signs flip.
+
+Columns and rows can both be appended to a solved program, and the next
+solve resumes from the previous basis instead of starting cold.  A new
+column enters nonbasic at its lower bound, so the basis stays feasible.  A
+new row is expressed in the current basis: where the current point
+satisfies it, its slack becomes basic; where it does not, an artificial
+takes up the violation and a phase 1 over the new artificials alone
+restores feasibility before phase 2 resumes.  Both keep Bland's rule, so
+termination is unchanged.  This is what makes column generation, and
+row-and-column generation, affordable.
 """
 
 from __future__ import annotations
@@ -92,8 +100,8 @@ class LinearProgram:
             if not 0 <= var < self.n_vars:
                 raise ValueError(f"row references unknown variable {var}")
         self.rows.append(({v: Fraction(c) for v, c in coeffs.items()}, rel, Fraction(rhs)))
-        self._tableau = None  # rows changed: any cached basis is stale
-        self._pending_cols.clear()
+        # a solved program keeps its tableau: the next solve() absorbs every
+        # row past the tableau's last one
         return len(self.rows) - 1
 
     def add_column(self, objective, entries: dict[int, Fraction], lo=0, hi=None) -> int:
@@ -101,6 +109,7 @@ class LinearProgram:
 
         The previous optimal basis stays feasible (the new variable enters
         nonbasic at its lower bound), so a following solve() warm-starts.
+        Entries may name rows added since the last solve.
         """
         for row in entries:
             if not 0 <= row < self.n_rows:
@@ -117,20 +126,29 @@ class LinearProgram:
 
 
 def solve(lp: LinearProgram, warm: bool = True) -> LpSolution:
-    """Solve to proven optimality (or infeasible/unbounded), exactly."""
+    """Solve to proven optimality (or infeasible/unbounded), exactly.
+
+    With warm=True a program solved before resumes from its last basis:
+    columns added since are absorbed first, then rows.  warm=False, or a
+    pending column with a nonzero lower bound, builds the tableau afresh."""
     tab = lp._tableau if warm else None
-    if tab is not None and lp._pending_cols:
-        if all(lp.lo[v] == 0 for v in lp._pending_cols):
-            for var in sorted(lp._pending_cols):
-                tab.absorb_column(lp, var)
-        else:
-            tab = None
-    lp._pending_cols.clear()
+    if tab is not None and any(lp.lo[v] != 0 for v in lp._pending_cols):
+        tab = None
     if tab is None:
         tab = _Tableau(lp)
-        if tab.phase1() == "infeasible":
-            lp._tableau = None
-            return LpSolution("infeasible", None, None, None)
+        arts = [col for col in tab.art_col if col is not None]
+    else:
+        for var in sorted(lp._pending_cols):
+            tab.absorb_column(lp, var)
+        arts = []
+        for i in range(len(tab.basis), lp.n_rows):
+            art = tab.absorb_row(lp, i)
+            if art is not None:
+                arts.append(art)
+    lp._pending_cols.clear()
+    if tab.phase1(arts) == "infeasible":
+        lp._tableau = None
+        return LpSolution("infeasible", None, None, None)
     if tab.phase2() == "unbounded":
         lp._tableau = None
         return LpSolution("unbounded", None, None, None)
@@ -139,6 +157,16 @@ def solve(lp: LinearProgram, warm: bool = True) -> LpSolution:
     duals = tab.dual_values()
     obj = sum((lp.obj[j] * x[j] for j in range(lp.n_vars)), Fraction(0))
     return LpSolution("optimal", tuple(x), tuple(duals), obj)
+
+
+def _scaled_row(lp: LinearProgram, i: int) -> tuple[int, dict[int, int], Fraction]:
+    """Row i of `lp` as (scale, integer coefficients, shifted rhs): the
+    coefficients times the lcm of their denominators, and the rhs less the
+    row's activity at the lower bounds (columns are shifted to lower 0)."""
+    coeffs, _, b = lp.rows[i]
+    scale = math.lcm(*(c.denominator for c in coeffs.values()))
+    ints = {v: c.numerator * (scale // c.denominator) for v, c in coeffs.items()}
+    return scale, ints, b - sum((c * lp.lo[v] for v, c in coeffs.items() if lp.lo[v]), _ZERO)
 
 
 def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
@@ -178,9 +206,10 @@ class _Tableau:
 
     Columns: structural variables (shifted to lower bound 0), then one slack
     per inequality row, then artificials where the slack could not provide a
-    feasible initial basis.  Artificials are fixed to 0 after phase 1 but keep
-    their columns: together with the slacks they embed B^-1, which is what
-    dual extraction and warm column absorption read.
+    feasible initial basis.  A row absorbed after the build appends its own
+    slack and, when needed, artificial.  Artificials are fixed to 0 after
+    phase 1 but keep their columns: together with the slacks they embed
+    B^-1, which is what dual extraction and warm column absorption read.
 
     The tableau keeps no reference to its program (methods that read it take
     it as an argument), so a program and its cached tableau form no cycle.
@@ -195,13 +224,12 @@ class _Tableau:
             hi - lo if lo and hi is not None else hi for lo, hi in zip(lp.lo, lp.hi)
         ]
         self.cost: list[Fraction] = lp.obj[:] if self.sign == 1 else [-c for c in lp.obj]
+        self.status = [FIXED if ub == 0 else LOWER for ub in self.ubound]
+        self.tab: list[list[int]] = []
+        self.den: list[int] = []
+        self.val: list[Fraction] = []
         # each row scaled to integers by the lcm of its denominators
-        scaled: list[tuple[int, dict[int, int]]] = []
-        rhs: list[Fraction] = []
-        for coeffs, _, b in lp.rows:
-            scale = math.lcm(*(c.denominator for c in coeffs.values()))
-            scaled.append((scale, {v: c.numerator * (scale // c.denominator) for v, c in coeffs.items()}))
-            rhs.append(b - sum((c * lp.lo[v] for v, c in coeffs.items() if lp.lo[v]), _ZERO))
+        scaled = [_scaled_row(lp, i) for i in range(m)]
         # slack columns: +1 for <=, -1 for >=
         self.slack_col: list[int | None] = [None] * m
         self.slack_sign: list[int] = [0] * m
@@ -212,24 +240,19 @@ class _Tableau:
         # initial basis: the slack where it starts feasible, else an artificial
         self.art_col: list[int | None] = [None] * m
         self.art_sign: list[int] = [0] * m
-        self.art_cols: list[int] = []
         basis: list[int] = []
         for i, (_, rel, _) in enumerate(lp.rows):
-            b = rhs[i]
+            b = scaled[i][2]
             if (rel == "<=" and b >= 0) or (rel == ">=" and b <= 0):
                 basis.append(self.slack_col[i])
             else:
                 col = self._new_col()
                 self.art_col[i] = col
                 self.art_sign[i] = 1 if b >= 0 else -1
-                self.art_cols.append(col)
                 basis.append(col)
         # rows at full width, each negated where needed so that its basic
         # column reads +1 (the coefficient is +-1 by construction)
-        self.tab: list[list[int]] = []
-        self.den: list[int] = []
-        self.val: list[Fraction] = []
-        for i, (scale, ints) in enumerate(scaled):
+        for i, (scale, ints, b) in enumerate(scaled):
             row = [0] * self.ncols
             for v, a in ints.items():
                 row[v] = a
@@ -238,21 +261,25 @@ class _Tableau:
                     row[col] = s * scale
             if row[basis[i]] > 0:
                 self.tab.append(row)
-                self.val.append(rhs[i])
+                self.val.append(b)
             else:
                 self.tab.append([-a for a in row])
-                self.val.append(-rhs[i])
+                self.val.append(-b)
             self.den.append(scale)
         self.basis = basis
-        self.status = [FIXED if ub == 0 else LOWER for ub in self.ubound]
         for b in self.basis:
             self.status[b] = BASIC
         self.zrow: list[int] = []
         self.zden = 1
 
     def _new_col(self) -> int:
+        """Append a slack or artificial column, nonbasic at 0 with no upper
+        bound, as a zero entry in every row held so far."""
         self.ubound.append(None)
         self.cost.append(_ZERO)
+        self.status.append(LOWER)
+        for row in self.tab:
+            row.append(0)
         self.ncols += 1
         return self.ncols - 1
 
@@ -269,21 +296,23 @@ class _Tableau:
             zrow = [z + k * a for z, a in zip(zrow, self.tab[i])]
         self.zrow, self.zden = _lowest_terms(zrow, zden)
 
-    def phase1(self) -> str:
-        if not self.art_cols:
+    def phase1(self, arts: list[int]) -> str:
+        """Drive the artificial columns `arts` to zero, then fix them there.
+        Artificials of earlier solves are fixed at zero already."""
+        if not arts:
             return "feasible"
         costs = [_ZERO] * self.ncols
-        for col in self.art_cols:
+        for col in arts:
             costs[col] = Fraction(-1)
         self._reset_zrow(costs)
         if self._iterate() == "unbounded":
             raise AssertionError("phase 1 objective is bounded above by zero")
-        arts = set(self.art_cols)
-        infeas = sum((self.val[i] for i, b in enumerate(self.basis) if b in arts), _ZERO)
+        new = set(arts)
+        infeas = sum((self.val[i] for i, b in enumerate(self.basis) if b in new), _ZERO)
         if infeas != 0:
             return "infeasible"
         # lock artificials at zero; basic-at-zero artificials may remain
-        for col in self.art_cols:
+        for col in arts:
             self.ubound[col] = _ZERO
             if self.status[col] != BASIC:
                 self.status[col] = FIXED
@@ -387,15 +416,20 @@ class _Tableau:
         self.basis[r] = enter
         self.val[r] = t if direction > 0 else self.ubound[enter] - t
 
-    # -- extraction and warm columns ----------------------------------------
+    # -- extraction, warm columns and warm rows ------------------------------
 
-    def primal_values(self, lp: LinearProgram) -> list[Fraction]:
+    def _point(self) -> list[Fraction]:
+        """Current values of every tableau column, structurals shifted."""
         vals: list[Fraction] = [
             self.ubound[j] if self.status[j] == UPPER else _ZERO
             for j in range(self.ncols)
         ]
         for i, b in enumerate(self.basis):
             vals[b] = self.val[i]
+        return vals
+
+    def primal_values(self, lp: LinearProgram) -> list[Fraction]:
+        vals = self._point()
         return [vals[j] + lo if lo else vals[j] for j, lo in enumerate(lp.lo)]
 
     def dual_values(self) -> list[Fraction]:
@@ -419,8 +453,8 @@ class _Tableau:
         # is sum_i c_i * ws_i * (witness column of row i), with the c_i scaled
         # to integers k_i by the lcm of their denominators
         terms: list[tuple[int, Fraction]] = []
-        for i, (coeffs, _, _) in enumerate(lp.rows):
-            c = coeffs.get(var)
+        for i in range(len(self.basis)):  # rows still pending read the column when absorbed
+            c = lp.rows[i][0].get(var)
             if not c:
                 continue
             wcol, ws = self.slack_col[i], self.slack_sign[i]
@@ -444,6 +478,50 @@ class _Tableau:
                 self.den[r] *= up
             row[col] = num
 
+    def absorb_row(self, lp: LinearProgram, i: int) -> int | None:
+        """Extend the tableau with row i of `lp`, the next row it does not
+        hold, written in the current basis.
+
+        The row is scaled to integers and each basic column's entry is
+        cleared against that column's row.  A slack column follows for an
+        inequality.  Where the current point satisfies the row, the slack
+        becomes basic and None is returned.  Otherwise (always for an
+        equality row) an artificial column is appended, basic at the size
+        of the violation, and returned for phase 1 to drive to zero."""
+        coeffs, rel, _ = lp.rows[i]
+        scale, ints, rhs = _scaled_row(lp, i)
+        point = self._point()
+        gap = rhs - sum((c * point[v] for v, c in coeffs.items() if point[v]), _ZERO)
+        row, den = [0] * self.ncols, scale
+        for v, a in ints.items():
+            row[v] = a
+        for k, col in enumerate(self.basis):
+            if row[col]:
+                nonzeros = [(j, a) for j, a in enumerate(self.tab[k]) if a]
+                row, den = _eliminate(row, den, nonzeros, self.den[k], col)
+        self.tab.append(row)
+        self.den.append(den)
+        sign = 0 if rel == "==" else 1 if rel == "<=" else -1
+        self.slack_sign.append(sign)
+        self.slack_col.append(self._new_col() if sign else None)
+        art = None
+        if sign and sign * gap >= 0:
+            basic, value = self.slack_col[i], sign * gap
+        else:
+            art = basic = self._new_col()
+            value = abs(gap)
+        self.art_col.append(art)
+        self.art_sign.append(0 if art is None else 1 if gap >= 0 else -1)
+        for col, s in ((self.slack_col[i], sign), (art, self.art_sign[i])):
+            if col is not None:
+                row[col] = s * den
+        if row[basic] < 0:
+            self.tab[i] = [-a for a in row]
+        self.basis.append(basic)
+        self.status[basic] = BASIC
+        self.val.append(value)
+        return art
+
     def _insert_structural_col(self, lp: LinearProgram, var: int) -> int:
         """Place the new variable at tableau index `var` so structural columns
         stay contiguous; shift slack/artificial bookkeeping right by one."""
@@ -461,5 +539,4 @@ class _Tableau:
                 self.basis[i] += 1
         self.slack_col = [c + 1 if c is not None and c >= var else c for c in self.slack_col]
         self.art_col = [c + 1 if c is not None and c >= var else c for c in self.art_col]
-        self.art_cols = [c + 1 if c >= var else c for c in self.art_cols]
         return var

@@ -36,8 +36,10 @@ from slotsched.minr import (
     split_residuals,
     window_condition_threshold,
 )
+from slotsched.generator import GenSpec, generate
 from slotsched.model import Instance, Job, TimeWindow, validate
 from slotsched.oracle import OracleLimits, exact_minr
+from slotsched.simplex import LinearProgram, solve
 
 
 def mk(jid, release, due, length, demand, weight=1):
@@ -247,6 +249,99 @@ def _tiny_instance(rng, max_jobs=5, horizon=5, dim=None):
     return inst(jobs, dim=dim)
 
 
+def full_row_m_star(instance, pair_rows=True):
+    """m* of the configuration LP with every (job, slot) row in the master
+    from the start, by column generation over the same seeds and pricing;
+    with pair_rows=False, of the LP that leaves those rows out."""
+    jobs = sorted(instance.jobs, key=lambda j: j.id)
+    slots = sorted({t for job in jobs for t in job.window.slots()})
+    lp = LinearProgram("min")
+    m_var = lp.add_variable(objective=1)
+    slot_row = {t: lp.add_row({m_var: 1}, ">=", 0) for t in slots}
+    pair_row = {(j.id, t): lp.add_row({}, ">=", -1) for j in jobs for t in j.window.slots() if pair_rows}
+    job_row = {j.id: lp.add_row({}, ">=", j.length) for j in jobs}
+
+    def add(t, ids):
+        entries = {slot_row[t]: -1}
+        for jid in ids:
+            if pair_rows:
+                entries[pair_row[(jid, t)]] = -1
+            entries[job_row[jid]] = 1
+        lp.add_column(0, entries)
+
+    for job in jobs:
+        for t in list(job.window.slots())[: job.length]:
+            add(t, [job.id])
+    while True:
+        sol = solve(lp)
+        alpha = {jid: sol.duals[row] for jid, row in job_row.items()}
+        beta = {pair: sol.duals[row] for pair, row in pair_row.items()}
+        priced = [(t, price_column(instance, t, alpha, beta)) for t in slots]
+        entering = [(t, ids) for t, (value, ids) in priced if ids and value > sol.duals[slot_row[t]]]
+        if not entering:
+            return sol.objective
+        for t, ids in entering:
+            add(t, ids)
+
+
+def _binding_instances():
+    """8 jobs, T = 8, one host, slack 1 or 1/2: most of these violate some
+    (job, slot) row unless the row is in the master."""
+    return [
+        generate(GenSpec(jobs=8, hosts=1, horizon=8, dim=dim, slack=slack, seed=f"bind:{dim}:{slack}:{k}"))
+        for dim in (1, 2) for slack in (Fraction(1), Fraction(1, 2)) for k in range(5)
+    ]
+
+
+def test_lazy_pair_rows_give_the_full_formulation_m_star_on_a_grid():
+    for n, horizon, dim, slack in itertools.product((3, 6), (4, 8, 16), (1, 2), (Fraction(1, 3), Fraction(1, 2))):
+        instance = generate(GenSpec(jobs=n, hosts=1, horizon=horizon, dim=dim, slack=slack,
+                                    seed=f"grid:{n}:{horizon}:{dim}:{slack}"))
+        lpsol = solve_config_lp(instance)
+        assert lpsol.m_star == full_row_m_star(instance)
+        check_lp_invariants(instance, lpsol)
+
+
+def test_lazy_pair_rows_where_they_bind():
+    instances = _binding_instances()
+    with_rows = lower_without = 0
+    for instance in instances:
+        lpsol = solve_config_lp(instance)
+        assert lpsol.m_star == full_row_m_star(instance)
+        assert all(a.max_violation == 0 for a in lpsol.trace)
+        check_lp_invariants(instance, lpsol)
+        assert len(lpsol.beta) == lpsol.pair_rows
+        with_rows += lpsol.pair_rows > 0
+        lower_without += full_row_m_star(instance, pair_rows=False) < lpsol.m_star
+    # the rows are needed: leaving them out lowers m* on some instances
+    assert with_rows >= len(instances) * 3 // 4 and lower_without > 0, (with_rows, lower_without)
+
+
+def test_config_lp_dual_certificate_with_absent_pair_rows_at_zero():
+    # alpha, beta, gamma >= 0; the m column prices at sum gamma <= 1; no
+    # feasible configuration at any slot prices above gamma_t under
+    # exhaustive search, with beta = 0 for pairs not in the master; and the
+    # dual objective is m*.  Weak duality then proves m* optimal.
+    rng = random.Random(31)
+    instances = _binding_instances()[::2] + [_tiny_instance(rng) for _ in range(10)]
+    for instance in instances:
+        lpsol = solve_config_lp(instance)
+        alpha, beta, gamma = lpsol.alpha, lpsol.beta, lpsol.gamma
+        assert all(v >= 0 for v in (*alpha.values(), *beta.values(), *gamma.values()))
+        assert sum(gamma.values(), Fraction(0)) <= 1
+        for t in lpsol.slots:
+            ids = [j.id for j in instance.jobs if j.window.contains_slot(t)]
+            best = max(
+                sum((alpha[j] - beta.get((j, t), Fraction(0)) for j in combo), Fraction(0))
+                for r in range(len(ids) + 1)
+                for combo in itertools.combinations(ids, r)
+                if config_fits(instance, combo, t)
+            )
+            assert best <= gamma[t]
+        dual = sum((j.length * alpha[j.id] for j in instance.jobs), Fraction(0))
+        assert dual - sum(beta.values(), Fraction(0)) == lpsol.m_star
+
+
 # -- sampling ----------------------------------------------------------------------
 
 
@@ -256,6 +351,7 @@ def _lpsol_with(columns, m_star, slots):
         m_int=math.ceil(m_star),
         columns=tuple(columns),
         column_count=len(columns),
+        pair_rows=0,
         slots=tuple(slots),
         alpha={},
         beta={},

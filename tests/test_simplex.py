@@ -1,6 +1,6 @@
 """Exact simplex: hand cases, a classic cycling instance, duals, random
-cross-checks against vertex enumeration, and warm-started column adds with
-fractional data (property-tested)."""
+cross-checks against vertex enumeration, warm-started column adds with
+fractional data (property-tested), and warm-started row adds."""
 
 from __future__ import annotations
 
@@ -262,3 +262,106 @@ def test_warm_column_adds_with_fractional_data_match_cold_solves(sense, variable
         if _unique_optimum(lp, cold):
             assert warm.x == cold.x
             assert warm.duals == cold.duals
+
+
+# -- warm row absorption ----------------------------------------------------------
+
+
+def _random_row(rng, n_vars, rel):
+    coeffs = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for j in range(n_vars) if rng.random() < 0.7}
+    coeffs = {j: c for j, c in coeffs.items() if c} or {rng.randrange(n_vars): Fraction(1)}
+    return coeffs, rel, Fraction(rng.randint(-8, 8), rng.randint(1, 2))
+
+
+def _check_against_cold_and_oracle(lp, warm):
+    cold = solve(copy.deepcopy(lp), warm=False)  # leaves lp's basis for the next warm solve
+    status, value = vertex_optimum(lp)
+    assert warm.status == cold.status == status
+    if status == "optimal":
+        assert warm.objective == cold.objective == value
+        check_certificates(lp, warm)
+
+
+def test_warm_rows_match_cold_solves_and_the_vertex_oracle():
+    # solve, then add one to three rows of mixed relations, some satisfied
+    # by the current optimum and some violated, and solve again, warm
+    rng = random.Random(20261019)
+    seen = {"satisfied": 0, "violated": 0, "<=": 0, ">=": 0, "==": 0, "infeasible": 0, "optimal": 0}
+    for _ in range(150):
+        lp = random_boxed_lp(rng, max_vars=3, max_rows=3)
+        sol = solve(lp)
+        if not sol.optimal:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            coeffs, rel, rhs = _random_row(rng, lp.n_vars, rng.choice(["<=", ">=", "=="]))
+            act = sum((c * sol.x[v] for v, c in coeffs.items()), Fraction(0))
+            ok = {"<=": act <= rhs, ">=": act >= rhs, "==": act == rhs}[rel]
+            seen["satisfied" if ok else "violated"] += 1
+            seen[rel] += 1
+            lp.add_row(coeffs, rel, rhs)
+        warm = solve(lp)
+        seen[warm.status] += 1
+        _check_against_cold_and_oracle(lp, warm)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_rows_and_columns_interleave_warm():
+    # rows added while columns are pending, columns added after a row (with
+    # entries in it, absorbed or still pending), and several solves in a row
+    rng = random.Random(77)
+    steps = {"row": 0, "column": 0, "row then column": 0, "column then row": 0}
+    for _ in range(40):
+        lp = random_boxed_lp(rng, max_vars=2, max_rows=2)
+        if not solve(lp).optimal:
+            continue
+        for _ in range(3):
+            step = rng.choice(list(steps))
+            steps[step] += 1
+            for kind in step.split(" then "):
+                if kind == "row":
+                    lp.add_row(*_random_row(rng, lp.n_vars, rng.choice(["<=", ">=", "=="])))
+                else:
+                    entries = {r: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for r in range(lp.n_rows)
+                               if rng.random() < 0.6}
+                    lp.add_column(Fraction(rng.randint(-3, 3)), entries, lo=0, hi=Fraction(rng.randint(1, 4)))
+            warm = solve(lp)
+            _check_against_cold_and_oracle(lp, warm)
+            if not warm.optimal:
+                break
+    assert min(steps.values()) >= 10, steps
+
+
+def test_violated_row_moves_the_optimum_and_its_dual_binds():
+    # max x + y, x + y <= 4, boxes [0, 3]: then cut with x <= 1
+    lp = LinearProgram("max")
+    x = lp.add_variable(objective=2, lo=0, hi=3)
+    y = lp.add_variable(objective=1, lo=0, hi=3)
+    lp.add_row({x: 1, y: 1}, "<=", 4)
+    assert solve(lp).x == (Fraction(3), Fraction(1))
+    lp.add_row({x: 1}, "<=", 1)
+    sol = solve(lp)
+    assert sol.x == (Fraction(1), Fraction(3))
+    assert sol.objective == 5
+    assert sol.duals == (Fraction(0), Fraction(2))
+    check_certificates(lp, sol)
+
+
+def test_satisfied_row_keeps_the_basis():
+    lp = LinearProgram("min")
+    x = lp.add_variable(objective=1, lo=0, hi=5)
+    lp.add_row({x: 1}, ">=", 2)
+    first = solve(lp)
+    lp.add_row({x: 1}, "<=", 4)
+    second = solve(lp)
+    assert second.x == first.x and second.objective == first.objective
+    assert second.duals == (Fraction(1), Fraction(0))
+
+
+def test_row_that_empties_the_program_reports_infeasible():
+    lp = LinearProgram("max")
+    x = lp.add_variable(objective=1, lo=0, hi=3)
+    lp.add_row({x: 1}, ">=", 2)
+    assert solve(lp).objective == 3
+    lp.add_row({x: 1}, "==", Fraction(1, 2))
+    assert solve(lp).status == "infeasible"
+    assert lp._tableau is None  # the next solve starts cold
