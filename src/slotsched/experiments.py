@@ -35,7 +35,6 @@ from .minr import MinRParams, partition_by_window, solve_minr
 from .model import (
     Instance,
     _is_int,
-    _rational_field,
     dataclass_from_json,
     dumps_canonical,
     format_rational,
@@ -45,6 +44,7 @@ from .model import (
 from .oracle import DEFAULT_LIMITS, LimitExceeded, OracleLimits, exact_maxt, exact_minr
 
 __all__ = [
+    "BatchConfig",
     "CSV_COLUMNS",
     "RunRow",
     "SOLVERS",
@@ -273,23 +273,24 @@ def summarize(rows: list[dict]) -> dict:
 # -- batch sweeps --------------------------------------------------------------------
 
 
-def _parse_batch_config(config):
-    if not isinstance(config, dict):
-        raise ValueError("batch config must be a JSON object")
-    known = {"seed", "gen", "solvers", "oracle", "acceptance", "lam", "minr"}
-    unknown = set(config) - known
-    if unknown:
-        raise ValueError(f"unknown batch config fields: {sorted(unknown)}")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, (str, int)) or isinstance(seed, bool):
-        raise ValueError("batch config field 'seed' must be a string or integer")
-    gen_entries = config.get("gen", [])
-    if not isinstance(gen_entries, list):
-        raise ValueError("batch config field 'gen' must be a list of generator specs")
-    gen_specs = {}  # label -> (spec, count)
-    for gi, entry in enumerate(gen_entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"batch config field 'gen[{gi}]' must be a JSON object")
+@dataclass(frozen=True)
+class BatchConfig:
+    """The fields of a batch config file, as `dataclass_from_json` reads them."""
+
+    seed: int | str = 0
+    gen: tuple[dict, ...] = ()
+    solvers: tuple[str, ...] = ()
+    oracle: OracleLimits = DEFAULT_LIMITS
+    lam: Fraction | None = None
+    minr: MinRParams | None = None
+    acceptance: str | None = None
+
+
+def _parse_batch_config(config) -> tuple[BatchConfig, dict]:
+    """The config and its generator specs, label -> (spec, count)."""
+    cfg = dataclass_from_json(BatchConfig, config, "batch config")
+    gen_specs = {}
+    for gi, entry in enumerate(cfg.gen):
         entry = dict(entry)
         count = entry.pop("count", 1)
         if not _is_int(count) or count < 0:
@@ -305,21 +306,8 @@ def _parse_batch_config(config):
             )
         entry.pop("seed", None)  # seeds are derived, never taken from specs
         gen_specs[label] = spec_from_json(entry), count
-    solvers = config.get("solvers", [])
-    if not isinstance(solvers, list) or not all(isinstance(s, str) for s in solvers):
-        raise ValueError("batch config field 'solvers' must be a list of solver names")
-    solvers = _check_solvers(solvers)
-    limits = (
-        dataclass_from_json(OracleLimits, config["oracle"], "oracle")
-        if "oracle" in config else DEFAULT_LIMITS
-    )
-    lam = _rational_field(config["lam"], "lam", "batch config") if "lam" in config else None
-    minr_params = (
-        dataclass_from_json(MinRParams, config["minr"], "minr") if "minr" in config else None
-    )
-    if "acceptance" in config and not isinstance(config["acceptance"], str):
-        raise ValueError("batch config field 'acceptance' must be a test-file path")
-    return seed, gen_specs, solvers, limits, lam, minr_params
+    _check_solvers(cfg.solvers)
+    return cfg, gen_specs
 
 
 def _run_acceptance(test_path: str, out_dir: Path) -> str:
@@ -350,7 +338,7 @@ def run_batch(
     up as an error row (and in the summary's error counts), never as a
     crashed batch.
     """
-    seed, gen_specs, solvers, limits, lam, minr_params = _parse_batch_config(config)
+    cfg, gen_specs = _parse_batch_config(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -358,10 +346,10 @@ def run_batch(
     instances = []  # (name, instance, inst_seed)
     for gi, (label, (spec, count)) in enumerate(gen_specs.items()):
         for k in range(count):
-            inst_seed = f"{seed}:g{gi}:i{k}"
+            inst_seed = f"{cfg.seed}:g{gi}:i{k}"
             instance = generate(replace(spec, seed=inst_seed))
             name = f"{label}-{k}"
-            if solvers:
+            if cfg.solvers:
                 instance_dir.mkdir(exist_ok=True)
                 (instance_dir / f"{name}.json").write_text(
                     dumps_canonical(instance_to_json(instance))
@@ -372,12 +360,12 @@ def run_batch(
         name, instance, inst_seed = item
         return compare(
             instance,
-            solvers,
+            cfg.solvers,
             label=name,
             seed=inst_seed,
-            lam=lam,
-            minr_params=minr_params,
-            oracle_limits=limits,
+            lam=cfg.lam,
+            minr_params=cfg.minr,
+            oracle_limits=cfg.oracle,
             timings=timings,
         )
 
@@ -392,11 +380,11 @@ def run_batch(
     (out_dir / "results.csv").write_text(csv_text)
 
     summary = {
-        "seed": seed,
+        "seed": cfg.seed,
         "rows": len(rows),
         "solvers": summarize(load_rows(csv_text)),
     }
-    if config.get("acceptance"):
-        summary["acceptance"] = _run_acceptance(str(config["acceptance"]), out_dir)
+    if cfg.acceptance:
+        summary["acceptance"] = _run_acceptance(cfg.acceptance, out_dir)
     (out_dir / "summary.json").write_text(dumps_canonical(summary))
     return summary

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 from contextlib import suppress
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterable, Mapping, Sequence, get_args, get_type_hints
+from types import UnionType
+from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 
 def parse_rational(value) -> Fraction:
@@ -244,6 +245,7 @@ def validate(
     their answer says, not on the instance's.
     """
     host_limit = instance.hosts if hosts is None else hosts
+    horizon = instance.horizon
     jobs = instance.job_map()
     violations: list[Violation] = []
     # (host, slot) -> list of jobs resident there
@@ -259,7 +261,7 @@ def validate(
         for host, slot in sorted(placed):
             if not 1 <= host <= host_limit:
                 violations.append(Violation("bad-host", job=jid, host=host, slot=slot))
-            if not 1 <= slot <= instance.horizon:
+            if not 1 <= slot <= horizon:
                 violations.append(Violation("bad-slot", job=jid, host=host, slot=slot))
             elif not job.window.contains_slot(slot):
                 violations.append(Violation("outside-window", job=jid, host=host, slot=slot))
@@ -336,28 +338,21 @@ def _field(obj, key: str, where: str):
     return obj[key]
 
 
-def _int_field(obj, key: str, where: str) -> int:
-    value = _field(obj, key, where)
-    if not _is_int(value):
-        raise ValueError(f"{where}: field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _rational_field(value, key: str, where: str) -> Fraction:
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise ValueError(f"{where}: field {key!r}: {exc}") from None
-
-
 # What a dataclass field of each type reads from JSON, as named in errors.
 _JSON_NOUNS = {
     int: "an integer",
     bool: "true or false",
     str: "a string",
+    dict: "a JSON object",
+    tuple: "a list",
     type(None): "null",
     Fraction: "a rational (an integer or a 'p/q' string)",
 }
+
+
+def _members(hint) -> tuple:
+    """The members of a union type in declared order, or the type alone."""
+    return get_args(hint) if isinstance(hint, UnionType) else (hint,)
 
 
 @cache
@@ -365,28 +360,43 @@ def _json_schema(cls) -> tuple[dict, frozenset]:
     """Per field of dataclass `cls`, the members of its type's union in
     declared order; and the names of the fields without a default."""
     hints = get_type_hints(cls)
-    kinds = {f.name: get_args(hints[f.name]) or (hints[f.name],) for f in fields(cls)}
+    kinds = {f.name: _members(hints[f.name]) for f in fields(cls)}
     required = frozenset(
         f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
     )
     return kinds, required
 
 
-def _read_json(kinds, value):
-    """`value` read as the first of `kinds` that fits; ValueError if none does."""
+def _read_json(kinds, value, owner: str, key: str):
+    """`value`, named `key` in `owner`, read as the first of `kinds` that
+    fits.  A dataclass is read from a JSON object named `key`, and a
+    `tuple[X, ...]` from a list of X whose elements are named `key[i]`."""
     for kind in kinds:
         if kind is Fraction:
             with suppress(ValueError):
                 return parse_rational(value)
+        elif is_dataclass(kind):
+            if type(value) is dict:
+                return dataclass_from_json(kind, value, key)
+        elif get_origin(kind) is tuple:
+            if type(value) is list:
+                item = _members(get_args(kind)[0])
+                return tuple(
+                    _read_json(item, v, owner, f"{key}[{i}]") for i, v in enumerate(value)
+                )
         elif type(value) is kind:  # a bool is no int here
             return value
-    raise ValueError
+    nouns = " or ".join(
+        "a JSON object" if is_dataclass(k) else _JSON_NOUNS[get_origin(k) or k] for k in kinds
+    )
+    raise ValueError(f"{owner} field {key!r} must be {nouns}, got {value!r}")
 
 
 def dataclass_from_json(cls, obj, name: str):
     """Dataclass `cls` built from the JSON object `obj`.  Every key must name
     a field, fields without a default are required, and each value is read by
-    its field's declared type, taking the first member of a union that fits.
+    its field's declared type, taking the first member of a union that fits;
+    nested dataclasses and `tuple[X, ...]` lists follow the same rules.
     Raises ValueError naming `name` and the field on malformed input."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"{name!r} must be a JSON object, got {type(obj).__name__}")
@@ -399,33 +409,7 @@ def dataclass_from_json(cls, obj, name: str):
     missing = required - obj.keys()
     if missing:
         raise ValueError(f"missing {name} fields: {sorted(missing)}")
-    kwargs = {}
-    for key, value in obj.items():
-        try:
-            kwargs[key] = _read_json(kinds[key], value)
-        except ValueError:
-            nouns = " or ".join(_JSON_NOUNS[kind] for kind in kinds[key])
-            raise ValueError(f"{name} field {key!r} must be {nouns}, got {value!r}") from None
-    return cls(**kwargs)
-
-
-def job_from_json(obj: Mapping, dim: int) -> Job:
-    """A job from its JSON object; the weight defaults to the area when
-    omitted.  Raises ValueError naming the field on malformed input."""
-    jid = _int_field(obj, "id", "job")
-    where = f"job {jid}"
-    demand_raw = _field(obj, "demand", where)
-    if not _is_array(demand_raw):
-        demand_raw = [demand_raw]
-    weight_raw = obj.get("weight")
-    return Job(
-        id=jid,
-        release=_int_field(obj, "release", where),
-        due=_int_field(obj, "due", where),
-        length=_int_field(obj, "length", where),
-        demand=tuple(_rational_field(s, "demand", where) for s in demand_raw),
-        weight=None if weight_raw is None else _rational_field(weight_raw, "weight", where),
-    )
+    return cls(**{key: _read_json(kinds[key], value, name, key) for key, value in obj.items()})
 
 
 def instance_to_json(instance: Instance) -> dict:
@@ -437,17 +421,8 @@ def instance_to_json(instance: Instance) -> dict:
 
 
 def instance_from_json(obj: Mapping) -> Instance:
-    """An instance from its JSON object.  Raises ValueError naming the field
-    on malformed input."""
-    dim = _int_field(obj, "dim", "instance")
-    jobs = _field(obj, "jobs", "instance")
-    if not _is_array(jobs):
-        raise ValueError(f"instance: field 'jobs' must be a list, got {type(jobs).__name__}")
-    return Instance(
-        hosts=_int_field(obj, "hosts", "instance"),
-        dim=dim,
-        jobs=tuple(job_from_json(j, dim) for j in jobs),
-    )
+    """An instance from its JSON object, as `dataclass_from_json` reads it."""
+    return dataclass_from_json(Instance, obj, "instance")
 
 
 def schedule_to_json(schedule: Schedule) -> dict:

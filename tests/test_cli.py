@@ -358,6 +358,10 @@ def _with_job(**fields):
     "instance, schedule, field",
     [
         (_with_job(demand="1/0"), None, "demand"),
+        (_with_job(demand=["1/0"]), None, "demand"),
+        (_with_job(demand="1/2"), None, "demand"),
+        (_with_job(wieght="9"), None, "wieght"),
+        ({**GOOD_INSTANCE, "horizon": 8}, None, "horizon"),
         ({"hosts": 1, "dim": 1}, None, "jobs"),
         ([GOOD_INSTANCE], None, "instance"),
         ({**GOOD_INSTANCE, "jobs": 5}, None, "jobs"),
@@ -377,8 +381,10 @@ def _with_job(**fields):
         (GOOD_INSTANCE, {"placements": {"1": [[1, 2.0]]}}, "placements"),
         (GOOD_INSTANCE, {"placements": {"1": [[1, True]]}}, "placements"),
     ],
-    ids=["demand-1/0", "no-jobs", "top-level-list", "jobs-5", "hosts-float", "length-float",
-         "dim-bool", "id-bool", "release-float", "due-string", "length-null", "weight-float",
+    ids=["demand-1/0", "demand-item-1/0", "demand-scalar", "weight-misspelt",
+         "instance-unknown-key", "no-jobs", "top-level-list", "jobs-5", "hosts-float",
+         "length-float", "dim-bool", "id-bool", "release-float", "due-string", "length-null",
+         "weight-float",
          "pair-of-one", "schedule-list", "placements-list", "key-not-id", "spots-int",
          "slot-float", "slot-bool"],
 )
@@ -394,6 +400,7 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, instance, schedule, 
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:") and field in err
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert out == ""
 
@@ -417,7 +424,7 @@ def _batch_with(spec=None, **config):
         ({"gen": [{"hosts": 2, "horizon": 4}]}, "jobs"),
         (_batch_with(oracle={"max_jobs": "3"}), "'max_jobs'"),
         (_batch_with(oracle={"max_jobs": 2.5}), "'max_jobs'"),
-        (_batch_with(solvers=[["laminar"]]), "'solvers'"),
+        (_batch_with(solvers=[["laminar"]]), "'solvers[0]'"),
         (_batch_with({"count": -3}), "count"),
         (_batch_with({"label": "TMP/escaped"}), "label"),
         (_batch_with({"label": "../x"}), "label"),

@@ -248,9 +248,9 @@ def test_batch_rejects_malformed_field_types(tmp_path):
         run_batch({"minr": {"oversample": 6}}, out)
     with pytest.raises(ValueError, match="'minr' must be a JSON object"):
         run_batch({"minr": 6}, out)
-    with pytest.raises(ValueError, match="'seed' must be a string or integer"):
+    with pytest.raises(ValueError, match="'seed' must be an integer or a string"):
         run_batch({"seed": True}, out)
-    with pytest.raises(ValueError, match="'acceptance' must be a test-file path"):
+    with pytest.raises(ValueError, match="'acceptance' must be a string or null"):
         run_batch({"acceptance": 3}, out)
 
 

@@ -265,14 +265,15 @@ _near_job = st.fixed_dictionaries(
         "length": _mostly(st.integers(1, 3)),
         "demand": _mostly(st.lists(st.sampled_from(["1/2", "1/3", 1]), min_size=1, max_size=1)),
     },
-    optional={"weight": _mostly(st.sampled_from(["5/2", 1, "0"]))},
+    optional={"weight": _mostly(st.sampled_from(["5/2", 1, "0"])), "wieght": _json},
 )
 _near_instance = st.fixed_dictionaries(
     {
         "hosts": _mostly(st.integers(1, 3)),
         "dim": _mostly(st.just(1)),
         "jobs": _mostly(st.lists(_mostly(_near_job), max_size=3)),
-    }
+    },
+    optional={"horizon": _json},
 )
 _pair = st.lists(_mostly(st.integers(1, 4)), min_size=2, max_size=2)
 _near_placements = st.dictionaries(
