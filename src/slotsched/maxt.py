@@ -22,6 +22,15 @@ The laminar pipeline is relaxation -> rounding -> greedy packing:
   needs a bin less than (1 - s_j) full in enough slots and backs the
   height-split variant for jobs of height <= alpha.
 
+A solve_maxt_laminar call keeps its loops on ints.  It builds the window
+forest once (the build is also its laminarity check) and hands it to the
+relaxation.  The rounding tests values on their numerators and denominators
+and does Fraction arithmetic only on the few fractional jobs.  Bins keep int
+loads over one scale and, per host, int bitmasks of the slots holding its
+gray bins and its first white bins.  The profit is one sum of numerators over
+a common denominator.  The height-class pipeline computes its class
+thresholds once per call and searches subsets on the weights scaled to ints.
+
 Arbitrary instances are laminarized first (windows shrink by at most 4x, so
 lambda inflates to 4*lambda), and separate pipelines cover high jobs
 (height-class decomposition driven by an exact single-host solver), the
@@ -30,13 +39,14 @@ log-n fallback, and utilization greedy (weights forced to areas).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from slotsched.laminar import forest_order, is_laminar, transform_instance, window_forest
+from slotsched.laminar import forest_order, transform_instance, window_forest
 from slotsched.model import (
     Instance,
     Job,
@@ -100,7 +110,9 @@ class FractionalSelection:
     omega: Fraction
 
 
-def solve_relaxation(instance: Instance, omega: Fraction) -> FractionalSelection:
+def solve_relaxation(
+    instance: Instance, omega: Fraction, forest: dict | None = None
+) -> FractionalSelection:
     """Exact optimum of the windowed-area relaxation over a laminar family.
 
     With y_j = area_j * x_j the feasible region {0 <= y_j <= area_j,
@@ -111,11 +123,12 @@ def solve_relaxation(instance: Instance, omega: Fraction) -> FractionalSelection
     room for.  Zero-weight jobs add nothing and stay at 0.  Each job walks
     its ancestor chain in the window forest, and every area, capacity and
     density is an integer over one common denominator, so the only rationals
-    built are the returned values and objective."""
+    built are the returned values and objective.  `forest`, when the caller
+    has built it, is `window_forest` of the jobs' windows."""
     omega = Fraction(omega)
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    parent = window_forest(job.window for job in instance.jobs)
+    parent = window_forest(job.window for job in instance.jobs) if forest is None else forest
     if parent is None:
         raise ValueError("job windows are not laminar; transform the instance first")
     # zero weights stay at 0; heights are read once per job
@@ -167,18 +180,24 @@ def round_selection(instance: Instance, selection: FractionalSelection | dict) -
     the input is LP-optimal.  Zeros stay zero; per window family node the
     selected area exceeds the LP cap by at most lambda * m-th of the node.
     Only jobs strictly between 0 and 1 move, so only their windows form the
-    forest walked here; they must be laminar (ValueError otherwise)."""
+    forest walked here; they must be laminar (ValueError otherwise).  Values
+    must be ints or Fractions, so that every step stays exact; each is
+    tested on its numerator n and denominator d."""
     values = dict(selection.values if isinstance(selection, FractionalSelection) else selection)
     jobs = {job.id: job for job in instance.jobs}
+    # only fractional jobs ever move, and a move can only end a job's
+    # fractionality (donors fall toward 0, receivers rise toward 1)
+    frac = set()
     for jid, x in values.items():
         if jid not in jobs:
             raise ValueError(f"selection mentions unknown job {jid}")
-        if not 0 <= x <= 1:
+        if type(x) is not int and not isinstance(x, Fraction):  # bools and floats too
+            raise ValueError(f"value {x!r} for job {jid} is not an int or a Fraction")
+        n, d = x.numerator, x.denominator
+        if not 0 <= n <= d:
             raise ValueError(f"fractional value {x} for job {jid} outside [0, 1]")
-
-    # only fractional jobs ever move, and a move can only end a job's
-    # fractionality (donors fall toward 0, receivers rise toward 1)
-    frac = {jid for jid, x in values.items() if 0 < x < 1}
+        if 0 < n < d:
+            frac.add(jid)
     areas = {jid: area(jobs[jid]) for jid in frac}
     key = {jid: (-jobs[jid].weight / areas[jid], jid) for jid in frac}  # densest first
 
@@ -227,7 +246,7 @@ def round_selection(instance: Instance, selection: FractionalSelection | dict) -
                 break
             move_area(jid, k)
 
-    selected = tuple(sorted(j for j, x in values.items() if x > 0))
+    selected = tuple(sorted(j for j, x in values.items() if x.numerator > 0))
     return RoundingResult(selected=selected, adjusted=values)
 
 
@@ -243,7 +262,15 @@ class SlotBins:
     is `_load[(h, t)] / _scale`).  A height whose denominator does not divide
     `_scale` widens it to their lcm and rescales every stored load, so every
     fit test is an integer comparison.  `load` and `load_of` give the exact
-    `Fraction` view; `color` and `pairs` record the pairing packer's bins."""
+    `Fraction` view; `color` and `pairs` record the pairing packer's bins.
+
+    The pairing packer keeps two int bitmasks over the slots per host h (bit
+    t stands for slot t): `_gray[h]` holds the slots whose gray bin is on h,
+    and `_white[h]` the slots whose first white bin is on h.  A slot holds at
+    most one gray bin, and its non-white bins are hosts 1..k, so its first
+    white bin is host k + 1 and each slot is in exactly one `_white` mask
+    until all its hosts are colored.  A unit ANDs the masks with its job's
+    slots and reads the set bits host by host, which is host-major order."""
 
     def __init__(self, hosts: int, horizon: int):
         self.hosts = hosts
@@ -252,10 +279,10 @@ class SlotBins:
         self._load: dict[tuple[int, int], int] = {}
         self.color: dict[tuple[int, int], str] = {}
         self.pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        # per slot, kept by allocate_pairing: its gray bin's host, and how
-        # many hosts (always 1..k) are no longer white
-        self._gray: dict[int, int] = {}
-        self._colored: dict[int, int] = {}
+        self._gray = [0] * (hosts + 1)  # index 0 unused
+        self._white = [0] * (hosts + 1)
+        if hosts:
+            self._white[1] = ((1 << horizon) - 1) << 1  # every slot starts white
 
     @property
     def load(self) -> dict[tuple[int, int], Fraction]:
@@ -282,51 +309,71 @@ class SlotBins:
         u = self._units(height)  # first: widening rescales the stored loads
         self._load[(h, t)] = self._load.get((h, t), 0) + u
 
+    def _slot_mask(self, avail: Iterable[int]) -> int:
+        """The slots of `avail` as a bitmask; ValueError for a slot outside
+        1..horizon."""
+        if type(avail) is range and avail.step == 1:  # a window's slots
+            if avail and not (0 < avail.start and avail.stop <= self.horizon + 1):
+                raise ValueError(f"slots {avail.start}..{avail.stop - 1} outside 1..{self.horizon}")
+            return ((1 << len(avail)) - 1) << avail.start if avail else 0
+        mask = 0
+        for t in avail:
+            if not 0 < t <= self.horizon:
+                raise ValueError(f"slot {t} outside 1..{self.horizon}")
+            mask |= 1 << t
+        return mask
+
+    def _pair_unit(self, job_id: int, u: int, mask: int) -> tuple[int, int]:
+        """One unit of `u` load into the slots of `mask` by the pairing rule
+        (see allocate_pairing)."""
+        room = self._scale - u  # a gray fits when its load is at most this
+        load, gray, white = self._load, self._gray, self._white
+        first_gray = first_white = None
+        for h in range(1, self.hosts + 1):
+            bits = gray[h] & mask
+            if bits and first_gray is None:
+                first_gray = (h, (bits & -bits).bit_length() - 1)
+            while bits:
+                low = bits & -bits
+                b = (h, low.bit_length() - 1)
+                if load[b] <= room:
+                    load[b] += u
+                    return b
+                bits ^= low
+            bits = white[h] & mask
+            if bits and first_white is None:
+                first_white = (h, (bits & -bits).bit_length() - 1)
+        if first_white is None:
+            if first_gray is not None:
+                raise ScheduleError(job_id, "no gray bin fits and no white bin available")
+            raise ScheduleError(job_id, "no white bin available to open")
+        h, t = first_white
+        load[first_white] = load.get(first_white, 0) + u
+        white[h] ^= 1 << t
+        if h < self.hosts:
+            white[h + 1] |= 1 << t
+        if first_gray is None:
+            self.color[first_white] = GRAY
+            gray[h] |= 1 << t
+            return first_white
+        gray[first_gray[0]] ^= 1 << first_gray[1]
+        self.color[first_gray] = BLACK
+        self.color[first_white] = BLACK
+        self.pairs.append((first_gray, first_white))
+        return first_white
+
     def allocate_pairing(self, job_id: int, height: Fraction, avail: Iterable[int]) -> tuple[int, int]:
         """One processing unit of a job into one slot of `avail`.
 
         Use the first gray bin that fits; if grays exist but none fit, put the
         unit in the first white bin and close it with the first gray as a
         black pair (their combined load then exceeds one); with no gray in
-        reach, open the first white bin as the new gray.
+        reach, open the first white bin as the new gray.  "First" is
+        host-major: lowest host, then lowest slot.  Raises ValueError for a
+        slot outside 1..horizon and ScheduleError when stuck.
         """
-        # "first" is host-major: lowest host, then lowest slot.  A slot holds
-        # at most one gray (one opens only where none is in reach), and its
-        # non-white bins are hosts 1..k (each one colored was the first white),
-        # so the first white bin in a slot is host k + 1.
-        u = self._units(height)
-        room = self._scale - u  # a gray fits when its load is at most this
-        load = self._load
-        first_gray = first_fit = white = None
-        for t in avail:
-            k = self._colored.get(t, 0)
-            if k < self.hosts and (white is None or (k + 1, t) < white):
-                white = (k + 1, t)
-            h = self._gray.get(t)
-            if h is not None:
-                b = (h, t)
-                if first_gray is None or b < first_gray:
-                    first_gray = b
-                if load[b] <= room and (first_fit is None or b < first_fit):
-                    first_fit = b
-        if first_fit is not None:
-            load[first_fit] += u
-            return first_fit
-        if white is None:
-            if first_gray is not None:
-                raise ScheduleError(job_id, "no gray bin fits and no white bin available")
-            raise ScheduleError(job_id, "no white bin available to open")
-        load[white] = load.get(white, 0) + u
-        self._colored[white[1]] = white[0]
-        if first_gray is None:
-            self.color[white] = GRAY
-            self._gray[white[1]] = white[0]
-            return white
-        del self._gray[first_gray[1]]
-        self.color[first_gray] = BLACK
-        self.color[white] = BLACK
-        self.pairs.append((first_gray, white))
-        return white
+        mask = self._slot_mask(avail)
+        return self._pair_unit(job_id, self._units(height), mask)
 
     def open_host(self, t: int, cap: Fraction) -> int | None:
         """Lowest host whose bin at t is strictly less than `cap` full."""
@@ -339,13 +386,16 @@ class SlotBins:
     def place_pairing(
         self, job_id: int, height: Fraction, avail: Iterable[int], units: int
     ) -> set[tuple[int, int]]:
-        """`units` units of a job in distinct slots of `avail`, one
-        allocate_pairing call per unit.  Raises ScheduleError when stuck."""
-        avail = set(avail)
+        """`units` units of a job in distinct slots of `avail`, each placed
+        as allocate_pairing places it, with the slots used so far taken out.
+        Raises ValueError for a slot outside 1..horizon and ScheduleError
+        when stuck."""
+        mask = self._slot_mask(avail)
+        u = self._units(height)
         spots: set[tuple[int, int]] = set()
         for _ in range(units):
-            h, t = self.allocate_pairing(job_id, height, avail)
-            avail.discard(t)
+            h, t = self._pair_unit(job_id, u, mask)
+            mask ^= 1 << t
             spots.add((h, t))
         return spots
 
@@ -422,8 +472,12 @@ class MaxTResult:
 
 
 def _profit(instance: Instance, ids: Iterable[int]) -> Fraction:
+    """Total weight of `ids`: numerators summed over the lcm of the weights'
+    denominators, one Fraction built."""
     jm = instance.job_map()
-    return sum((jm[j].weight for j in ids), Fraction(0))
+    weights = [jm[j].weight for j in ids]
+    scale = lcm(*[w.denominator for w in weights])
+    return Fraction(sum(w.numerator * (scale // w.denominator) for w in weights), scale)
 
 
 def _empty_result(path: str, omega: Fraction | None = None) -> MaxTResult:
@@ -434,10 +488,10 @@ def _empty_result(path: str, omega: Fraction | None = None) -> MaxTResult:
 
 
 def best_subset(
-    weights: Sequence[Fraction],
+    weights: Sequence[int | Fraction],
     root: S,
     extend: Callable[[S, int], S | None],
-) -> tuple[Fraction, S]:
+) -> tuple[int | Fraction, S]:
     """Exact best-weight subset of items 0..n-1, as (weight, state).
 
     Depth-first include/exclude search on an explicit stack, trying items in
@@ -446,13 +500,15 @@ def best_subset(
     when it does not fit; the root state stands for the empty set.  A node
     is pruned when its weight plus every remaining weight cannot strictly
     beat the best so far, and only a strictly heavier set replaces the best,
-    so the result is the first heaviest set in include-first order.
+    so the result is the first heaviest set in include-first order.  Sums
+    start at int 0, so int weights are added as ints (and the empty set
+    weighs int 0 whatever the weights' type).
     """
-    suffix = [Fraction(0)] * (len(weights) + 1)
+    suffix = [0] * (len(weights) + 1)
     for i in range(len(weights) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
-    best_weight, best_state = Fraction(0), root
-    stack = [(0, Fraction(0), root)]
+    best_weight, best_state = 0, root
+    stack = [(0, 0, root)]
     while stack:
         i, weight, state = stack.pop()
         if weight > best_weight:
@@ -514,33 +570,49 @@ def single_host_throughput(
     Feasibility of a set is decided by the earliest-due-date simulation
     (exact for preemptive single-host windows on integer slots); the subset
     search is `best_subset` over the jobs heaviest first, so it is exact and
-    affordable for the per-class job counts the callers produce.
+    affordable for the per-class job counts the callers produce.  It runs on
+    the weights as ints over the lcm of their denominators.
     """
     horizon = max((j.due for j in jobs), default=0)
-    order = sorted(jobs, key=lambda j: (-j.weight, j.id))
+    scale = lcm(*[j.weight.denominator for j in jobs])
+    order = sorted(
+        ((j.weight.numerator * (scale // j.weight.denominator), j) for j in jobs),
+        key=lambda wj: (-wj[0], wj[1].id),
+    )
 
     def extend(state, i):
-        sel = state[0] + (order[i],)
+        sel = state[0] + (order[i][1],)
         assign = _edf(sel, horizon)
         return None if assign is None else (sel, assign)
 
-    weight, (sel, assign) = best_subset([j.weight for j in order], ((), {}), extend)
-    return weight, tuple(sorted(j.id for j in sel)), assign
+    weight, (sel, assign) = best_subset([w for w, _ in order], ((), {}), extend)
+    return Fraction(weight, scale), tuple(sorted(j.id for j in sel)), assign
 
 
 # -- height classes ----------------------------------------------------------------
 
 
+def _class_floors(delta: Fraction, eps: Fraction, top: Fraction) -> list[Fraction]:
+    """delta * (1+eps)^k for k = 0, 1, ... while that is at most `top`, each
+    made from the last by one multiplication; delta itself always comes first."""
+    floors, step = [delta], delta * (1 + eps)
+    while step <= top:
+        floors.append(step)
+        step *= 1 + eps
+    return floors
+
+
+def _class_of(s: Fraction, floors: list[Fraction]) -> int:
+    """Largest k with floors[k] <= s; floors must reach at least up to s."""
+    k = bisect_right(floors, s) - 1
+    if k < 0:
+        raise ValueError(f"height {s} below delta {floors[0]}")
+    return k
+
+
 def height_class(s: Fraction, delta: Fraction, eps: Fraction) -> int:
     """Largest k >= 0 with delta * (1+eps)^k <= s (requires s >= delta)."""
-    if s < delta:
-        raise ValueError(f"height {s} below delta {delta}")
-    k = 0
-    step = delta * (1 + eps)
-    while step <= s:
-        k += 1
-        step *= 1 + eps
-    return k
+    return _class_of(s, _class_floors(delta, eps, s))
 
 
 def class_hosts(m: int, delta: Fraction, eps: Fraction, k: int) -> int:
@@ -569,9 +641,10 @@ def solve_large_heights(
         raise ValueError(f"eps must be positive, got {eps}")
     if not instance.jobs:
         return _empty_result("large-heights")
+    floors = _class_floors(delta, eps, Fraction(1))  # every height is at most one
     classes: dict[int, list[Job]] = {}
     for job in instance.jobs:
-        classes.setdefault(height_class(job.height, delta, eps), []).append(job)
+        classes.setdefault(_class_of(job.height, floors), []).append(job)
 
     m = instance.hosts
     best: tuple[Fraction, int, dict[int, set[tuple[int, int]]], tuple[int, ...]] | None = None
@@ -629,13 +702,16 @@ def _resolve_lambda(instance: Instance, lam: Fraction | None) -> Fraction:
     return lam
 
 
-def _lp_round_pack(instance: Instance, omega: Fraction, mode: str, path: str) -> MaxTResult:
-    """Relax at `omega`, round, and pack the selection with packer `mode`.
+def _lp_round_pack(
+    instance: Instance, omega: Fraction, mode: str, path: str, forest: dict | None = None
+) -> MaxTResult:
+    """Relax at `omega`, round, and pack the selection with packer `mode`;
+    `forest` is the instance's window forest when the caller has built it.
 
     The three steps are looked up as module globals at call time, so a
     tracer that rebinds them sees every call.
     """
-    relax = solve_relaxation(instance, omega)
+    relax = solve_relaxation(instance, omega, forest)
     rounded = round_selection(instance, relax)
     schedule, _ = schedule_selected(instance, rounded.selected, mode=mode)
     return MaxTResult(
@@ -661,7 +737,10 @@ def solve_maxt_laminar(
     """
     if variant not in ("single", "split"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not is_laminar([j.window for j in instance.jobs]):
+    # the one forest of the call; the split variant's small jobs form a
+    # different family, so their relaxation builds its own
+    forest = window_forest(j.window for j in instance.jobs)
+    if forest is None:
         raise ValueError("windows not laminar; use solve_maxt_general")
     if not instance.jobs:
         return _empty_result(f"laminar-{variant}")
@@ -671,7 +750,9 @@ def solve_maxt_laminar(
         limit = single_slack_limit(m)
         if lam >= limit:
             raise ValueError(f"lambda {lam} >= {limit}; omega would be nonpositive")
-        return _lp_round_pack(instance, omega_single(m, lam), "pairing", "laminar-single")
+        return _lp_round_pack(
+            instance, omega_single(m, lam), "pairing", "laminar-single", forest
+        )
 
     alpha = alpha_split(m, lam)
     small = [j for j in instance.jobs if j.height <= alpha]

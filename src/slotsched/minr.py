@@ -118,7 +118,7 @@ def price_column(
 
     root = ((), (Fraction(1),) * instance.dim)
     value, (ids, _) = best_subset([it[0] for it in items], root, extend)
-    return value, frozenset(ids)
+    return Fraction(value), frozenset(ids)  # best_subset's empty set weighs int 0
 
 
 # -- configuration LP ---------------------------------------------------------------

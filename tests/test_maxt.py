@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from slotsched.laminar import build_tree, forest_order
 from slotsched.model import Instance, Job, Schedule, area, density, slackness, validate
+from slotsched.minr import price_column
 from slotsched.maxt import (
     FractionalSelection,
     MaxTResult,
     ScheduleError,
     SlotBins,
+    _class_floors,
+    _class_of,
     _edf,
     alpha_split,
     best_subset,
@@ -287,6 +290,21 @@ def test_rounding_rejects_bad_input():
         round_selection(inst([a]), {1: Fraction(3, 2)})
 
 
+def test_rounding_rejects_values_that_are_not_rational():
+    a = mk(1, 1, 4, 1, 1, weight=1)
+    b = mk(2, 5, 8, 1, 1, weight=1)
+    # floats would round in floats, and bools are ints only by accident
+    for bad in (0.5, 1.0, 0.0, True, False, "1/2", None):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            round_selection(inst([a, b]), {1: Fraction(1, 2), 2: bad})
+    # plain ints 0 and 1 are exact, and integral values never move
+    rr = round_selection(inst([a, b]), {1: 1, 2: 0})
+    assert rr.selected == (1,)
+    assert rr.adjusted == {1: 1, 2: 0}
+    with pytest.raises(ValueError, match="outside"):
+        round_selection(inst([a]), {1: -1})
+
+
 def test_rounding_never_loses_lp_profit_on_corpus():
     # random weights, then area weights, under which every density ties
     rng = random.Random(11)
@@ -484,6 +502,62 @@ def test_pairing_matches_reference_scan():
         assert bins.pairs == ref.pairs
     # runs exhaust the white bins, with and without a gray in reach
     assert min(errors.values()) >= 20
+
+
+def _reference_place_pairing(bins, job_id, height, avail, units):
+    """The former place_pairing: one reference allocate_pairing call per
+    unit, each slot taken out of `avail` once used."""
+    avail, spots = set(avail), set()
+    for _ in range(units):
+        h, t = bins.allocate_pairing(job_id, height, avail)
+        avail.discard(t)
+        spots.add((h, t))
+    return spots
+
+
+def test_place_pairing_matches_reference_scan_per_unit():
+    rng = random.Random("pairing:multi-unit")
+    seen = {"placed": 0, "stuck": 0, "multi-unit": 0, "repeats": 0, "pairs": 0}
+    for _ in range(300):
+        hosts, horizon = rng.randint(1, 5), rng.randint(1, 8)
+        bins, ref = SlotBins(hosts, horizon), _ReferenceBins(hosts, horizon)
+        for job_id in range(rng.randint(1, 2 * hosts * horizon)):
+            height = min(Fraction(rng.randint(1, 12), rng.choice([2, 3, 4, 5, 12])), Fraction(1))
+            # unsorted, with repeats, as minr.schedule_residual may pass them;
+            # sometimes a window's range, as schedule_selected passes it
+            if rng.random() < 0.3:
+                lo = rng.randint(1, horizon)
+                avail = range(lo, rng.randint(lo, horizon) + 1)
+            else:
+                avail = rng.choices(range(1, horizon + 1), k=rng.randint(0, 2 * horizon))
+            units = rng.randint(1, max(1, len(set(avail))))
+            got = _outcome(bins.place_pairing, job_id, height, avail, units)
+            want = _outcome(_reference_place_pairing, ref, job_id, height, avail, units)
+            assert got == want
+            seen["stuck" if isinstance(got, str) else "placed"] += 1
+            seen["multi-unit"] += units > 1 and not isinstance(got, str)
+            seen["repeats"] += len(set(avail)) < len(avail)
+            # a stuck job keeps the units it placed before, in both
+            assert list(bins.load.items()) == list(ref.load.items())
+            assert list(bins.color.items()) == list(ref.color.items())
+            assert bins.pairs == ref.pairs
+        seen["pairs"] += len(bins.pairs)
+    assert min(seen.values()) >= 100
+
+
+def test_pairing_rejects_slots_outside_the_horizon():
+    bins = SlotBins(hosts=2, horizon=4)
+    assert bins.place_pairing(1, Fraction(1, 2), range(1, 5), 2) == {(1, 1), (1, 2)}
+    before = (bins.load, dict(bins.color), list(bins.pairs))
+    for avail in ([0], [5], [2, 5, 3], [-1], range(0, 3), range(3, 6)):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            bins.allocate_pairing(2, Fraction(1, 2), avail)
+        with pytest.raises(ValueError, match="outside 1..4"):
+            bins.place_pairing(2, Fraction(1, 2), avail, 1)
+    # nothing was placed on the way to the error
+    assert (bins.load, bins.color, bins.pairs) == before
+    assert bins.place_pairing(2, Fraction(1, 2), range(4, 5), 1) == {(1, 4)}
+    assert bins.place_pairing(3, Fraction(1, 2), range(2, 2), 0) == set()
 
 
 def test_open_host_strict_threshold():
@@ -788,6 +862,94 @@ def test_height_class_and_class_hosts_frozen():
     assert class_hosts(2, delta, eps, 1) == 2
     with pytest.raises(ValueError, match="below delta"):
         height_class(Fraction(1, 5), delta, eps)
+
+
+def _reference_height_class(s, delta, eps):
+    """The former per-job multiply loop, kept to pin the class thresholds."""
+    if s < delta:
+        raise ValueError(f"height {s} below delta {delta}")
+    k = 0
+    step = delta * (1 + eps)
+    while step <= s:
+        k += 1
+        step *= 1 + eps
+    return k
+
+
+def _reference_single_host(jobs):
+    """The former single_host_throughput, searching on the Fraction weights."""
+    horizon = max((j.due for j in jobs), default=0)
+    order = sorted(jobs, key=lambda j: (-j.weight, j.id))
+
+    def extend(state, i):
+        sel = state[0] + (order[i],)
+        assign = _edf(sel, horizon)
+        return None if assign is None else (sel, assign)
+
+    weight, (sel, assign) = best_subset([j.weight for j in order], ((), {}), extend)
+    return weight, tuple(sorted(j.id for j in sel)), assign
+
+
+def test_single_host_integer_weights_match_fraction_weights():
+    rng = random.Random("single-host:integer-weights")
+    denominators = [1, 2, 3, 4, 6, 35]  # mixed, and equal weights come often
+    ties = 0
+    for _ in range(300):
+        jobs = []
+        for jid in rng.sample(range(1, 40), rng.randint(0, 8)):  # unsorted ids
+            r = rng.randint(1, 8)
+            d = rng.randint(r, 10)
+            weight = Fraction(rng.randint(0, 6), rng.choice(denominators))
+            jobs.append(mk(jid, r, d, rng.randint(1, d - r + 1), 1, weight=weight))
+        got, want = single_host_throughput(jobs), _reference_single_host(jobs)
+        assert got[:2] == want[:2] and type(got[0]) is Fraction
+        assert list(got[2].items()) == list(want[2].items())
+        ties += len({j.weight for j in jobs}) < len(jobs)
+    assert ties >= 60
+
+
+def test_height_classes_match_the_multiply_loop():
+    rng = random.Random("height-class:thresholds")
+    on_threshold = 0
+    for _ in range(200):
+        delta = Fraction(rng.randint(1, 9), rng.randint(10, 40))
+        eps = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3, 7)])
+        floors = _class_floors(delta, eps, Fraction(1))
+        heights = [Fraction(rng.randint(1, 60), 60) for _ in range(10)]
+        heights += [f for f in floors if f <= 1]  # exactly on a threshold
+        for s in heights:
+            if s < delta:
+                with pytest.raises(ValueError, match="below delta"):
+                    height_class(s, delta, eps)
+                continue
+            want = _reference_height_class(s, delta, eps)
+            assert height_class(s, delta, eps) == want
+            assert _class_of(s, floors) == want  # the per-call thresholds
+            on_threshold += s in floors
+        # solve_large_heights groups by the same classes: one class, same jobs
+        jobs = [mk(jid, 1, 4, 1, s, weight=1) for jid, s in enumerate(heights, 1) if s >= delta]
+        one = [j for j in jobs if _reference_height_class(j.height, delta, eps) == 0]
+        if one:
+            res = solve_large_heights(inst(one, hosts=2), delta, eps)
+            assert_selected_complete(inst(one, hosts=2), res)
+    assert on_threshold >= 200
+
+
+def test_callers_of_best_subset_return_fractions():
+    # best_subset weighs the empty set as int 0, and single_host_throughput
+    # searches on ints; both callers still hand back Fractions
+    a = mk(1, 1, 1, 1, 1, weight=3)
+    b = mk(2, 1, 1, 1, 1, weight=Fraction(5, 2))
+    for jobs in ([], [a], [a, b], [mk(3, 1, 2, 1, 1, weight=0)]):
+        weight, _, _ = single_host_throughput(jobs)
+        assert type(weight) is Fraction
+    assert single_host_throughput([a, b])[:2] == (Fraction(3), (1,))
+    instance = inst([mk(1, 1, 2, 1, Fraction(1, 2)), mk(2, 1, 2, 1, Fraction(3, 5))])
+    for alpha, want in (({}, (Fraction(0), frozenset())),
+                        ({1: Fraction(1, 3)}, (Fraction(1, 4), frozenset({1}))),
+                        ({1: Fraction(1), 2: Fraction(1)}, (Fraction(1), frozenset({2})))):
+        value, chosen = price_column(instance, 1, alpha, {(1, 1): Fraction(1, 12)})
+        assert (value, chosen) == want and type(value) is Fraction
 
 
 def test_large_heights_trims_virtual_hosts_to_fit():
