@@ -376,8 +376,15 @@ class SlotBins:
         return self._pair_unit(job_id, self._units(height), mask)
 
     def open_host(self, t: int, cap: Fraction) -> int | None:
-        """Lowest host whose bin at t is strictly less than `cap` full."""
-        limit, load = self._units(cap), self._load
+        """Lowest host whose bin at t is strictly less than `cap` full;
+        ValueError for a slot outside 1..horizon."""
+        if not 0 < t <= self.horizon:
+            raise ValueError(f"slot {t} outside 1..{self.horizon}")
+        return self._open_host(t, self._units(cap))
+
+    def _open_host(self, t: int, limit: int) -> int | None:
+        """open_host for a checked slot and a cap over `_scale`."""
+        load = self._load
         for h in range(1, self.hosts + 1):
             if load.get((h, t), 0) < limit:
                 return h
@@ -404,13 +411,16 @@ class SlotBins:
     ) -> set[tuple[int, int]]:
         """`units` units of a job in the first slots of `slots` where some
         host is less than (1 - height) full, each on the lowest such host.
-        Raises ScheduleError, having placed nothing, when fewer slots qualify."""
-        cap = 1 - height
+        Raises ValueError for a slot outside 1..horizon and ScheduleError,
+        having placed nothing, when fewer slots qualify."""
+        slots = slots if type(slots) is range else list(slots)
+        self._slot_mask(slots)  # checks the horizon, in O(1) for a range
+        cap = self._units(1 - height)
         found: list[tuple[int, int]] = []
         for t in slots:  # one scan finds each slot and its host together
             if len(found) == units:
                 break
-            h = self.open_host(t, cap)
+            h = self._open_host(t, cap)
             if h is not None:
                 found.append((h, t))
         if len(found) < units:

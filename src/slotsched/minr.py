@@ -11,10 +11,12 @@ The pipeline:
   Pricing per slot is an exact multi-dimensional knapsack over profits
   alpha_j - beta_{j,t}, with beta_{j,t} = 0 for a pair row not in the
   master; a column enters when its value exceeds gamma_t.  All arithmetic
-  is rational, so m* is the exact LP optimum and a true lower bound on the
+  is exact: the simplex is rational, and pricing runs on ints over common
+  denominators, so m* is the exact LP optimum and a true lower bound on the
   integer answer.
 * sample_configurations: ceil(m*) rounds up to m_int; every slot draws m1
-  configurations independently (probability x_C / m* each, possibly none),
+  configurations independently (probability x_C / m* each, possibly none,
+  by an exact integer inverse-CDF over the columns' common denominator),
   then overlapping draws are disjointified in draw order.  Draw i of slot t
   runs on phase-1 host i+1.
 * build_residual: a job covered n_j times keeps its first `length` covered
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -96,29 +99,49 @@ def price_column(
 ) -> tuple[Fraction, frozenset[int]]:
     """Exact best configuration at `slot` under profits alpha_j - beta_{j,slot}.
 
-    `maxt.best_subset` over the items by falling profit; items with
-    nonpositive profit never help and are dropped up front.  Returns
-    (value, job set), (0, empty) when nothing profitable fits.
+    `maxt.best_subset` over the items by falling profit (ties by id); items
+    with nonpositive profit never help and are dropped up front.  The search
+    runs on ints: profits over the lcm of their denominators, demands over
+    the lcm of those jobs' demand denominators, against a room of that lcm
+    per dimension.  Returns (value, job set), (0, empty) when nothing
+    profitable fits.
     """
     items = []
     for job in instance.jobs:
         if not job.window.contains_slot(slot):
             continue
-        profit = alpha.get(job.id, Fraction(0)) - beta.get((job.id, slot), Fraction(0))
-        if profit > 0:
+        profit = alpha.get(job.id, 0)
+        cut = beta.get((job.id, slot))
+        if cut is not None:
+            profit -= cut
+        if profit.numerator > 0:  # profit > 0: denominators are positive
             items.append((profit, job.id, job.demand))
+    if not items:
+        return Fraction(0), frozenset()
+    # Lists, not generators, feed the lcms: CPython gathers *args from a
+    # generator in a tuple it resizes, and those freed tuples fill the tuple
+    # free lists of sizes that nothing else draws from (with generators the
+    # benchmark's peak RSS grew by 0.6 MB).
+    scale = math.lcm(*[profit.denominator for profit, _, _ in items])
+    room = math.lcm(*[q.denominator for _, _, demand in items for q in demand])
+    items = [
+        (profit.numerator * (scale // profit.denominator), jid,
+         tuple(q.numerator * (room // q.denominator) for q in demand))
+        for profit, jid, demand in items
+    ]
     items.sort(key=lambda it: (-it[0], it[1]))
 
     def extend(state, i):
-        ids, room = state
-        _, jid, demand = items[i]
-        if all(need <= left for need, left in zip(demand, room)):
-            return ids + (jid,), tuple(left - need for need, left in zip(demand, room))
+        ids, free = state
+        _, jid, need = items[i]
+        if all(n <= f for n, f in zip(need, free)):
+            return ids + (jid,), tuple(f - n for n, f in zip(need, free))
         return None
 
-    root = ((), (Fraction(1),) * instance.dim)
-    value, (ids, _) = best_subset([it[0] for it in items], root, extend)
-    return Fraction(value), frozenset(ids)  # best_subset's empty set weighs int 0
+    value, (ids, _) = best_subset(
+        [it[0] for it in items], ((), (room,) * instance.dim), extend
+    )
+    return Fraction(value, scale), frozenset(ids)
 
 
 # -- configuration LP ---------------------------------------------------------------
@@ -267,11 +290,6 @@ def solve_config_lp(instance: Instance) -> ConfigLpResult:
 # -- randomized sampling --------------------------------------------------------------
 
 
-def _unit_fraction(rng: random.Random) -> Fraction:
-    """Uniform rational in [0, 1) with exact comparisons downstream."""
-    return Fraction(rng.getrandbits(53), 2**53)
-
-
 def sample_configurations(
     instance: Instance, lpsol: ConfigLpResult, draws: int, seed
 ) -> dict[int, list[frozenset[int]]]:
@@ -280,32 +298,41 @@ def sample_configurations(
     disjointified in draw order (later sets drop jobs already taken).  Each
     slot consumes its own derived random stream, so results do not depend on
     slot evaluation order.
+
+    A draw is u = k / 2^53 * m* for k = getrandbits(53), and picks the first
+    column, in sorted order, whose running mass exceeds u.  With every x_C
+    and m* as ints over their common denominator L, and M = m* * L, that is
+    the first prefix sum P with k * M < P * 2^53: an exact integer bisection.
     """
     m_star = lpsol.m_star
+    scale = math.lcm(m_star.denominator, *(x.denominator for _, x in lpsol.columns))
+    total = m_star.numerator * (scale // m_star.denominator)
     by_slot: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
     for c, x in lpsol.columns:
         by_slot.setdefault(c.slot, []).append((tuple(sorted(c.jobs)), x))
     out: dict[int, list[frozenset[int]]] = {}
     for t in lpsol.slots:
         cols = sorted(by_slot.get(t, []))
-        mass = sum((x for _, x in cols), Fraction(0))
-        if mass > m_star:
+        ends: list[int] = []
+        mass = 0
+        for _, x in cols:
+            mass += x.numerator * (scale // x.denominator)
+            ends.append(mass << 53)
+        if mass > total:
             raise ValueError(
-                f"slot {t}: configuration mass {mass} exceeds m* = {m_star}"
+                f"slot {t}: configuration mass {Fraction(mass, scale)} exceeds m* = {m_star}"
             )
+        sets = [frozenset(ids) for ids, _ in cols]
+        drawing = total > 0 and bool(sets)  # m* > 0 and the slot has a column
         rng = random.Random(f"{seed}:slot{t}")
         picks: list[frozenset[int]] = []
         taken: set[int] = set()
         for _ in range(draws):
             chosen: frozenset[int] = frozenset()
-            if m_star > 0 and cols:
-                u = _unit_fraction(rng) * m_star
-                acc = Fraction(0)
-                for ids, x in cols:
-                    acc += x
-                    if u < acc:
-                        chosen = frozenset(ids)
-                        break
+            if drawing:
+                k = bisect_right(ends, rng.getrandbits(53) * total)
+                if k < len(sets):
+                    chosen = sets[k]
             chosen = chosen - taken
             taken |= chosen
             picks.append(chosen)
@@ -597,27 +624,36 @@ def residual_area_report(
             }
         )
     threshold = window_condition_threshold(horizon, instance.dim, m_int, params)
+    # Areas are ints over the lcm of the heights, so an interval of `size`
+    # slots holding area inside / hscale violates its bound omega * m_int *
+    # size exactly when inside * den > per_slot * size.
+    hscale = math.lcm(*[r.height.denominator for r in residuals])
+    areas = [
+        (r.window.start, r.window.end,
+         r.units * r.height.numerator * (hscale // r.height.denominator))
+        for r in residuals
+    ]
+    den = omega.denominator
+    per_slot = omega.numerator * m_int * hscale
     checked = violations = q_checked = q_violations = 0
-    worst = 0.0
+    worst_inside, worst_size = 0, 1  # the largest inside / size so far
     for a, b in intervals:
         size = b - a + 1
-        inside = sum(
-            (
-                r.units * r.height
-                for r in residuals
-                if a <= r.window.start and r.window.end <= b
-            ),
-            Fraction(0),
-        )
-        bound = omega * m_int * size
+        inside = sum(area for start, end, area in areas if a <= start and end <= b)
         checked += 1
-        bad = inside > bound
+        bad = inside * den > per_slot * size
         violations += bad
-        if bound > 0:
-            worst = max(worst, float(inside / bound))
+        if inside * worst_size > worst_inside * size:
+            worst_inside, worst_size = inside, size
         if size >= threshold:
             q_checked += 1
             q_violations += bad
+    # One rounding at the end: float() is monotone, so this is the largest
+    # float(inside / bound).  A ratio counts only where the bound is positive.
+    worst = (
+        float(Fraction(worst_inside * den, per_slot * worst_size))
+        if per_slot > 0 else 0.0
+    )
     return ResidualAreaReport(
         omega=omega,
         hosts_bound=m_int,

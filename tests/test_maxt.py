@@ -560,6 +560,22 @@ def test_pairing_rejects_slots_outside_the_horizon():
     assert bins.place_pairing(3, Fraction(1, 2), range(2, 2), 0) == set()
 
 
+def test_smallfit_and_open_host_reject_slots_outside_the_horizon():
+    bins = SlotBins(hosts=2, horizon=2)
+    # the slot past the horizon is rejected even where enough slots came first
+    for slots in ([0, 5], [5], [1, 2, 3], [-1], range(0, 2), range(2, 4), iter([1, 0])):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            bins.place_smallfit(1, Fraction(1, 2), slots, 1)
+    for t in (0, 3, -1):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            bins.open_host(t, Fraction(1))
+    assert bins.load == {}  # nothing was placed on the way to the error
+    assert bins.place_smallfit(1, Fraction(1, 2), (t for t in [2, 1]), 1) == {(1, 2)}
+    assert bins.place_smallfit(2, Fraction(1, 2), range(1, 3), 2) == {(1, 1), (2, 2)}
+    assert bins.place_smallfit(3, Fraction(1, 2), range(3, 3), 0) == set()
+    assert bins.open_host(2, Fraction(1, 2)) is None
+
+
 def test_open_host_strict_threshold():
     bins = SlotBins(hosts=1, horizon=2)
     bins.place(1, 1, Fraction(1, 2))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from slotsched import minr
 from slotsched.laminar import build_tree, map_window
-from slotsched.maxt import ScheduleError
+from slotsched.maxt import ScheduleError, best_subset
 from slotsched.minr import (
     ConfigLpResult,
     Configuration,
@@ -37,7 +37,7 @@ from slotsched.minr import (
     window_condition_threshold,
 )
 from slotsched.generator import GenSpec, generate
-from slotsched.model import Instance, Job, TimeWindow, validate
+from slotsched.model import Instance, Job, TimeWindow, slackness, validate
 from slotsched.oracle import OracleLimits, exact_minr
 from slotsched.simplex import LinearProgram, solve
 
@@ -155,6 +155,81 @@ def test_price_column_matches_exhaustive_search():
         assert value == best
         assert config_fits(instance, chosen, 1)
         assert sum((alpha[j] for j in chosen), Fraction(0)) == value
+
+
+def _fraction_price_column(instance, slot, alpha, beta):
+    """The former price_column, whose knapsack ran on Fraction profits and
+    demands; pins the integer search."""
+    items = []
+    for job in instance.jobs:
+        if not job.window.contains_slot(slot):
+            continue
+        profit = alpha.get(job.id, Fraction(0)) - beta.get((job.id, slot), Fraction(0))
+        if profit > 0:
+            items.append((profit, job.id, job.demand))
+    items.sort(key=lambda it: (-it[0], it[1]))
+
+    def extend(state, i):
+        ids, room = state
+        _, jid, demand = items[i]
+        if all(need <= left for need, left in zip(demand, room)):
+            return ids + (jid,), tuple(left - need for need, left in zip(demand, room))
+        return None
+
+    root = ((), (Fraction(1),) * instance.dim)
+    value, (ids, _) = best_subset([it[0] for it in items], root, extend)
+    return Fraction(value), frozenset(ids)
+
+
+# few distinct values, so equal profits (and the id tie-break) come up often
+_ALPHAS = [Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1),
+           Fraction(3, 2), Fraction(7, 6), Fraction(2)]
+_BETAS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(5, 3)]
+
+
+def test_integer_pricing_matches_fraction_pricing():
+    rng = random.Random("pricing:integers")
+    seen = {"empty": 0, "tie": 0, "mixed": 0, "nonpositive": 0}
+    for _ in range(120):
+        dim = rng.choice([1, 2, 4])
+        jobs = []
+        for jid in range(1, rng.randint(1, 7) + 1):
+            demand = []
+            for _ in range(dim):
+                den = rng.choice([2, 3, 5, 7, 10, 12])
+                demand.append(Fraction(rng.randint(1, den), den))
+            jobs.append(mk(jid, rng.randint(1, 3), rng.randint(3, 5), 1, tuple(demand)))
+        instance = inst(jobs, dim=dim)
+        alpha = {j.id: rng.choice(_ALPHAS) for j in jobs if rng.random() < 0.9}
+        beta = {
+            (j.id, t): rng.choice(_BETAS)
+            for j in jobs for t in j.window.slots() if rng.random() < 0.3
+        }
+        for t in range(1, 6):
+            got = price_column(instance, t, alpha, beta)
+            assert got == _fraction_price_column(instance, t, alpha, beta)
+            assert type(got[0]) is Fraction
+            profits = [
+                alpha.get(j.id, 0) - beta.get((j.id, t), 0)
+                for j in jobs if j.window.contains_slot(t)
+            ]
+            positive = [p for p in profits if p > 0]
+            seen["empty"] += not got[1]
+            seen["tie"] += len(set(positive)) < len(positive)
+            seen["mixed"] += len({p.denominator for p in positive}) > 1
+            seen["nonpositive"] += len(positive) < len(profits)
+    assert min(seen.values()) >= 30
+
+
+def test_integer_pricing_breaks_equal_profits_by_id():
+    # equal profits and room for one of the two jobs: the lower id wins
+    jobs = [mk(2, 1, 1, 1, (Fraction(3, 5), Fraction(1, 7))),
+            mk(1, 1, 1, 1, (Fraction(1, 2), Fraction(2, 3)))]
+    instance = inst(jobs, dim=2)
+    alpha = {1: Fraction(1, 2), 2: Fraction(3, 2)}
+    beta = {(2, 1): Fraction(1)}
+    assert price_column(instance, 1, alpha, beta) == (Fraction(1, 2), frozenset({1}))
+    assert _fraction_price_column(instance, 1, alpha, beta) == (Fraction(1, 2), frozenset({1}))
 
 
 # -- configuration LP -----------------------------------------------------------------
@@ -419,6 +494,111 @@ def test_sampling_deterministic_per_slot_streams():
     assert 0 < len(picks_at_2) < 8  # genuinely random, not certain
 
 
+def _unit_fraction(rng):
+    return Fraction(rng.getrandbits(53), 2**53)
+
+
+def _fraction_sample_configurations(instance, lpsol, draws, seed):
+    """The former sample_configurations, which drew a Fraction u and walked
+    the running mass; pins the integer bisection."""
+    m_star = lpsol.m_star
+    by_slot = {}
+    for c, x in lpsol.columns:
+        by_slot.setdefault(c.slot, []).append((tuple(sorted(c.jobs)), x))
+    out = {}
+    for t in lpsol.slots:
+        cols = sorted(by_slot.get(t, []))
+        mass = sum((x for _, x in cols), Fraction(0))
+        if mass > m_star:
+            raise ValueError(f"slot {t}: configuration mass {mass} exceeds m* = {m_star}")
+        rng = random.Random(f"{seed}:slot{t}")
+        picks = []
+        taken = set()
+        for _ in range(draws):
+            chosen = frozenset()
+            if m_star > 0 and cols:
+                u = _unit_fraction(rng) * m_star
+                acc = Fraction(0)
+                for ids, x in cols:
+                    acc += x
+                    if u < acc:
+                        chosen = frozenset(ids)
+                        break
+            chosen = chosen - taken
+            taken |= chosen
+            picks.append(chosen)
+        out[t] = picks
+    return out
+
+
+def test_integer_sampling_matches_fraction_sampling():
+    rng = random.Random("sampling:integers")
+    lpsols = [(instance, solve_config_lp(instance))
+              for instance in [_tiny_instance(rng, dim=d) for d in (1, 2, 1, 2, 1, 2)]]
+    jobs = [mk(1, 1, 1, 1, Fraction(3, 5)), mk(2, 1, 1, 1, Fraction(3, 5)),
+            mk(3, 2, 2, 1, Fraction(3, 5))]
+    lpsols.append((inst(jobs), solve_config_lp(inst(jobs))))  # slot 2 holds mass 1 of 2
+    # mass short of m* at a slot, so some draws pick nothing
+    lpsols.append((inst(jobs), _lpsol_with(
+        [(Configuration(1, frozenset({1})), Fraction(2, 7)),
+         (Configuration(1, frozenset({1, 2})), Fraction(1, 3))], Fraction(5, 3), [1, 2])))
+    for instance, lpsol in lpsols:
+        for draws in (1, 4, 13):
+            for seed in ("a", 7, "minr-master:1:3"):
+                got = sample_configurations(instance, lpsol, draws, seed)
+                assert got == _fraction_sample_configurations(instance, lpsol, draws, seed)
+
+
+class _FixedBits:
+    """A random.Random whose getrandbits(53) always returns `bits`."""
+
+    bits = 0
+
+    def __init__(self, seed):
+        pass
+
+    def getrandbits(self, k):
+        assert k == 53
+        return self.bits
+
+
+@pytest.mark.parametrize("bits, pick", [(2**52 - 1, {1}), (2**52, {2}), (2**53 - 1, {2})])
+def test_sampling_draw_on_a_prefix_sum_picks_the_next_column(monkeypatch, bits, pick):
+    # m* = 1 and two columns of 1/2: u = 2^52 / 2^53 is exactly the first
+    # prefix sum, and u < acc is strict, so that draw takes the second column
+    instance = inst([mk(1, 1, 1, 1, Fraction(1, 2)), mk(2, 1, 1, 1, Fraction(1, 2))])
+    lpsol = _lpsol_with(
+        [(Configuration(1, frozenset({1})), Fraction(1, 2)),
+         (Configuration(1, frozenset({2})), Fraction(1, 2))], Fraction(1), [1])
+    monkeypatch.setattr(_FixedBits, "bits", bits)
+    monkeypatch.setattr(minr.random, "Random", _FixedBits)
+    want = {1: [frozenset(pick), frozenset()]}
+    assert sample_configurations(instance, lpsol, 2, seed=0) == want
+    assert _fraction_sample_configurations(instance, lpsol, 2, seed=0) == want
+
+
+def test_sampling_draw_past_the_mass_picks_nothing(monkeypatch):
+    # m* = 2 and one column of 1: u = 1 is exactly the column's prefix sum
+    instance = inst([mk(1, 1, 1, 1, Fraction(1, 2))])
+    lpsol = _lpsol_with([(Configuration(1, frozenset({1})), Fraction(1))], Fraction(2), [1])
+    monkeypatch.setattr(minr.random, "Random", _FixedBits)
+    for bits, want in [(2**52, frozenset()), (2**52 - 1, frozenset({1}))]:
+        monkeypatch.setattr(_FixedBits, "bits", bits)
+        assert sample_configurations(instance, lpsol, 1, seed=0) == {1: [want]}
+
+
+def test_sampling_excess_mass_error_text():
+    instance = inst([mk(1, 1, 2, 1, Fraction(1, 2)), mk(2, 1, 2, 1, Fraction(1, 2))])
+    lpsol = _lpsol_with(
+        [(Configuration(2, frozenset({1})), Fraction(2, 3)),
+         (Configuration(2, frozenset({2})), Fraction(5, 6))], Fraction(4, 3), [1, 2])
+    text = "slot 2: configuration mass 3/2 exceeds m* = 4/3"
+    for sample in (sample_configurations, _fraction_sample_configurations):
+        with pytest.raises(ValueError) as err:
+            sample(instance, lpsol, 1, seed=0)
+        assert str(err.value) == text
+
+
 # -- residuals ----------------------------------------------------------------------
 
 
@@ -618,6 +798,80 @@ def test_residual_area_report_counts_containing_intervals():
     assert report.checked == 10
     assert report.violations == 3  # [1,2], [1,3], [1,4]
     assert report.worst_ratio == 8.0  # interval [1,2]: 2 / (2/8)
+
+
+def _fraction_residual_area_report(instance, residuals, m_int, params=MinRParams()):
+    """The former residual_area_report, which summed Fraction areas and kept
+    a running max of float ratios; pins the integer report."""
+    horizon = instance.horizon
+    if params.omega is not None:
+        omega = params.omega
+    else:
+        omega = (1 - 4 * slackness(instance)) / 8
+    if horizon <= 64:
+        intervals = [(a, b) for a in range(1, horizon + 1) for b in range(a, horizon + 1)]
+    else:
+        rng = random.Random(f"residual-area:{horizon}")
+        intervals = sorted(
+            {tuple(sorted((rng.randint(1, horizon), rng.randint(1, horizon))))
+             for _ in range(2000)}
+        )
+    threshold = window_condition_threshold(horizon, instance.dim, m_int, params)
+    checked = violations = q_checked = q_violations = 0
+    worst = 0.0
+    for a, b in intervals:
+        size = b - a + 1
+        inside = sum(
+            (r.units * r.height for r in residuals
+             if a <= r.window.start and r.window.end <= b),
+            Fraction(0),
+        )
+        bound = omega * m_int * size
+        checked += 1
+        bad = inside > bound
+        violations += bad
+        if bound > 0:
+            worst = max(worst, float(inside / bound))
+        if size >= threshold:
+            q_checked += 1
+            q_violations += bad
+    return minr.ResidualAreaReport(
+        omega=omega, hosts_bound=m_int, checked=checked, violations=violations,
+        qualifying_checked=q_checked, qualifying_violations=q_violations,
+        threshold=threshold, worst_ratio=worst,
+    )
+
+
+def test_integer_residual_area_report_matches_fraction_report():
+    rng = random.Random("report:integers")
+    params_menu = [MinRParams(), MinRParams(omega=Fraction(1, 8)),
+                   MinRParams(omega=Fraction(5, 7), theta=Fraction(1, 32))]
+    seen = {"empty": 0, "negative_omega": 0, "violations": 0, "long": 0, "ratio": 0}
+    for k in range(48):
+        horizon = [1, 5, 12, 64, 65, 90][k % 6]
+        jobs, residuals = [], []
+        for jid in range(1, rng.randint(1, 5) + 1):
+            r = rng.randint(1, horizon)
+            d = rng.randint(r, min(horizon, r + rng.choice([0, 2, 10, 100])))
+            den = rng.choice([3, 7, 10])
+            job = mk(jid, r, d, rng.randint(1, d - r + 1), Fraction(rng.randint(1, den), den))
+            jobs.append(job)
+            if k % 4 and rng.random() < 0.8:  # every fourth instance has no residuals
+                residuals.append(ResidualJob(jid, rng.randint(1, job.length), job.height,
+                                             job.window, frozenset()))
+        instance = inst(jobs)
+        for m_int in (0, 1, 3):
+            params = params_menu[(k + m_int) % 3]
+            got = residual_area_report(instance, residuals, m_int, params)
+            want = _fraction_residual_area_report(instance, residuals, m_int, params)
+            assert got == want  # every field, worst_ratio by ==
+            assert got.to_json() == want.to_json()
+            seen["empty"] += not residuals
+            seen["negative_omega"] += got.omega < 0
+            seen["violations"] += got.violations > 0
+            seen["long"] += horizon > 64
+            seen["ratio"] += got.worst_ratio > 0
+    assert min(seen.values()) >= 10
 
 
 # -- end-to-end solver ------------------------------------------------------------------
