@@ -437,19 +437,24 @@ def schedule_to_json(schedule: Schedule) -> dict:
 def schedule_from_json(obj: Mapping) -> Schedule:
     """A schedule from its JSON object: job-id keys, each mapped to a list of
     [host, slot] integer pairs.  Raises ValueError naming the field on
-    malformed input."""
+    malformed input, or both keys where two name one job ("1" and "01")."""
     placements = _field(obj, "placements", "schedule")
     if not isinstance(placements, Mapping):
         raise ValueError(
             f"schedule: field 'placements' must be a JSON object, got {type(placements).__name__}"
         )
-    pairs = {}
+    pairs, keys = {}, {}
     for key, spots in placements.items():
         where = f"schedule: placements[{key!r}]"
         try:
             jid = key if _is_int(key) else int(key)
         except (TypeError, ValueError):
             raise ValueError(f"{where}: key is not a job id") from None
+        if jid in keys:
+            raise ValueError(
+                f"schedule: placements keys {keys[jid]!r} and {key!r} both name job {jid}"
+            )
+        keys[jid] = key
         if not _is_array(spots):
             raise ValueError(f"{where} must be a list of [host, slot] pairs")
         for pair in spots:
@@ -463,11 +468,19 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def load_instance(path) -> Instance:
+def _load_json(path):
+    """The JSON value in file `path`; malformed JSON raises ValueError
+    prefixed with the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_instance(path) -> Instance:
+    return instance_from_json(_load_json(path))
 
 
 def load_schedule(path) -> Schedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schedule_from_json(json.load(fh))
+    return schedule_from_json(_load_json(path))

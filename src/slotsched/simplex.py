@@ -16,15 +16,17 @@ Duals are Lagrange multipliers for the rows as written: for a maximization,
 a binding <= row has a nonnegative dual and a binding >= row a nonpositive
 one; for a minimization the signs flip.
 
-Columns and rows can both be appended to a solved program, and the next
-solve resumes from the previous basis instead of starting cold.  A new
-column enters nonbasic at its lower bound, so the basis stays feasible.  A
-new row is expressed in the current basis: where the current point
-satisfies it, its slack becomes basic; where it does not, an artificial
-takes up the violation and a phase 1 over the new artificials alone
-restores feasibility before phase 2 resumes.  Both keep Bland's rule, so
-termination is unchanged.  This is what makes column generation, and
-row-and-column generation, affordable.
+Rows enter the tableau one way only.  Each row is expressed in the current
+basis: where the current point satisfies it, its slack becomes basic; where
+it does not, an artificial takes up the violation, and a phase 1 over the
+new artificials alone restores feasibility before phase 2 runs.  A cold
+solve starts from a tableau of structural columns and no rows, every
+variable at its lower bound, and takes in every row this way.  Columns and
+rows can both be appended to a solved program, and the next solve resumes
+from the previous basis: a new column enters nonbasic at its lower bound,
+so the basis stays feasible, and new rows come in as above.  Bland's rule
+holds throughout, so termination is unchanged.  This is what makes column
+generation, and row-and-column generation, affordable.
 """
 
 from __future__ import annotations
@@ -128,23 +130,23 @@ class LinearProgram:
 def solve(lp: LinearProgram, warm: bool = True) -> LpSolution:
     """Solve to proven optimality (or infeasible/unbounded), exactly.
 
-    With warm=True a program solved before resumes from its last basis:
-    columns added since are absorbed first, then rows.  warm=False, or a
-    pending column with a nonzero lower bound, builds the tableau afresh."""
+    With warm=True a program solved before resumes from its last basis,
+    absorbing the columns added since.  warm=False, or a pending column with
+    a nonzero lower bound, starts from a tableau with no rows.  Either way
+    every row the tableau does not hold yet is absorbed next."""
     tab = lp._tableau if warm else None
     if tab is not None and any(lp.lo[v] != 0 for v in lp._pending_cols):
         tab = None
     if tab is None:
         tab = _Tableau(lp)
-        arts = [col for col in tab.art_col if col is not None]
     else:
         for var in sorted(lp._pending_cols):
             tab.absorb_column(lp, var)
-        arts = []
-        for i in range(len(tab.basis), lp.n_rows):
-            art = tab.absorb_row(lp, i)
-            if art is not None:
-                arts.append(art)
+    arts = []
+    for i in range(len(tab.basis), lp.n_rows):
+        art = tab.absorb_row(lp, i)
+        if art is not None:
+            arts.append(art)
     lp._pending_cols.clear()
     if tab.phase1(arts) == "infeasible":
         lp._tableau = None
@@ -204,71 +206,33 @@ class _Tableau:
     den[i].  The z-row is zrow / zden under the same rules.  Basic values
     (val), bound spans (ubound) and costs are Fractions.
 
-    Columns: structural variables (shifted to lower bound 0), then one slack
-    per inequality row, then artificials where the slack could not provide a
-    feasible initial basis.  A row absorbed after the build appends its own
-    slack and, when needed, artificial.  Artificials are fixed to 0 after
-    phase 1 but keep their columns: together with the slacks they embed
-    B^-1, which is what dual extraction and warm column absorption read.
+    Columns: structural variables (shifted to lower bound 0), then per row,
+    in row order, its slack (inequality rows) and its artificial (where the
+    slack could not start basic, and always for an equality row).  Each row
+    keeps one witness (column, sign): its slack, or for an equality row its
+    artificial.  The witness columns embed B^-1, which is what dual
+    extraction and warm column absorption read, so artificials are fixed to
+    0 after phase 1 but keep their columns.
 
     The tableau keeps no reference to its program (methods that read it take
     it as an argument), so a program and its cached tableau form no cycle.
     """
 
     def __init__(self, lp: LinearProgram):
-        m, n = lp.n_rows, lp.n_vars
         self.sign = 1 if lp.sense == "max" else -1
         # structural columns, shifted: x = x' + lo, x' in [0, hi-lo]
-        self.ncols = n
+        self.ncols = lp.n_vars
         self.ubound: list[Fraction | None] = [
             hi - lo if lo and hi is not None else hi for lo, hi in zip(lp.lo, lp.hi)
         ]
         self.cost: list[Fraction] = lp.obj[:] if self.sign == 1 else [-c for c in lp.obj]
         self.status = [FIXED if ub == 0 else LOWER for ub in self.ubound]
+        # no rows yet: absorb_row writes each one
         self.tab: list[list[int]] = []
         self.den: list[int] = []
         self.val: list[Fraction] = []
-        # each row scaled to integers by the lcm of its denominators
-        scaled = [_scaled_row(lp, i) for i in range(m)]
-        # slack columns: +1 for <=, -1 for >=
-        self.slack_col: list[int | None] = [None] * m
-        self.slack_sign: list[int] = [0] * m
-        for i, (_, rel, _) in enumerate(lp.rows):
-            if rel != "==":
-                self.slack_col[i] = self._new_col()
-                self.slack_sign[i] = 1 if rel == "<=" else -1
-        # initial basis: the slack where it starts feasible, else an artificial
-        self.art_col: list[int | None] = [None] * m
-        self.art_sign: list[int] = [0] * m
-        basis: list[int] = []
-        for i, (_, rel, _) in enumerate(lp.rows):
-            b = scaled[i][2]
-            if (rel == "<=" and b >= 0) or (rel == ">=" and b <= 0):
-                basis.append(self.slack_col[i])
-            else:
-                col = self._new_col()
-                self.art_col[i] = col
-                self.art_sign[i] = 1 if b >= 0 else -1
-                basis.append(col)
-        # rows at full width, each negated where needed so that its basic
-        # column reads +1 (the coefficient is +-1 by construction)
-        for i, (scale, ints, b) in enumerate(scaled):
-            row = [0] * self.ncols
-            for v, a in ints.items():
-                row[v] = a
-            for col, s in ((self.slack_col[i], self.slack_sign[i]), (self.art_col[i], self.art_sign[i])):
-                if col is not None:
-                    row[col] = s * scale
-            if row[basis[i]] > 0:
-                self.tab.append(row)
-                self.val.append(b)
-            else:
-                self.tab.append([-a for a in row])
-                self.val.append(-b)
-            self.den.append(scale)
-        self.basis = basis
-        for b in self.basis:
-            self.status[b] = BASIC
+        self.basis: list[int] = []
+        self.witness: list[tuple[int, int]] = []  # per row: (column, sign)
         self.zrow: list[int] = []
         self.zden = 1
 
@@ -433,16 +397,10 @@ class _Tableau:
         return [vals[j] + lo if lo else vals[j] for j, lo in enumerate(lp.lo)]
 
     def dual_values(self) -> list[Fraction]:
-        # row i's multiplier is read off the z-row under its slack column
-        # (artificial column for equality rows); the witness sign restores
-        # A's original +-1 entry, the outer sign undoes the min->max flip
-        duals: list[Fraction] = []
-        for i in range(len(self.basis)):
-            col, s = self.slack_col[i], self.slack_sign[i]
-            if col is None:
-                col, s = self.art_col[i], self.art_sign[i]
-            duals.append(Fraction(self.sign * s * self.zrow[col], self.zden))
-        return duals
+        # row i's multiplier is read off the z-row under its witness column;
+        # the witness sign restores A's original +-1 entry, the outer sign
+        # undoes the min->max flip
+        return [Fraction(self.sign * s * self.zrow[col], self.zden) for col, s in self.witness]
 
     def absorb_column(self, lp: LinearProgram, var: int) -> None:
         """Extend the tableau with a structural column of `lp` appended after
@@ -453,14 +411,10 @@ class _Tableau:
         # is sum_i c_i * ws_i * (witness column of row i), with the c_i scaled
         # to integers k_i by the lcm of their denominators
         terms: list[tuple[int, Fraction]] = []
-        for i in range(len(self.basis)):  # rows still pending read the column when absorbed
+        for i, (wcol, ws) in enumerate(self.witness):  # rows still pending read the column when absorbed
             c = lp.rows[i][0].get(var)
-            if not c:
-                continue
-            wcol, ws = self.slack_col[i], self.slack_sign[i]
-            if wcol is None:
-                wcol, ws = self.art_col[i], self.art_sign[i]
-            terms.append((wcol, ws * c))
+            if c:
+                terms.append((wcol, ws * c))
         scale = math.lcm(*(c.denominator for _, c in terms))
         nums = [0] * len(self.tab)
         for wcol, c in terms:
@@ -480,14 +434,16 @@ class _Tableau:
 
     def absorb_row(self, lp: LinearProgram, i: int) -> int | None:
         """Extend the tableau with row i of `lp`, the next row it does not
-        hold, written in the current basis.
+        hold, written in the current basis.  A fresh tableau holds no rows,
+        so a cold solve writes every row this way.
 
         The row is scaled to integers and each basic column's entry is
-        cleared against that column's row.  A slack column follows for an
-        inequality.  Where the current point satisfies the row, the slack
-        becomes basic and None is returned.  Otherwise (always for an
-        equality row) an artificial column is appended, basic at the size
-        of the violation, and returned for phase 1 to drive to zero."""
+        cleared against that column's row.  An inequality row appends its
+        slack column, its witness.  Where the current point satisfies the
+        row, the slack becomes basic and None is returned.  Otherwise an
+        artificial column follows (always, and as the witness, for an
+        equality row), basic at the size of the violation, and is returned
+        for phase 1 to drive to zero."""
         coeffs, rel, _ = lp.rows[i]
         scale, ints, rhs = _scaled_row(lp, i)
         point = self._point()
@@ -501,30 +457,29 @@ class _Tableau:
                 row, den = _eliminate(row, den, nonzeros, self.den[k], col)
         self.tab.append(row)
         self.den.append(den)
+        # (column, sign) of the slack, then of the artificial if needed
         sign = 0 if rel == "==" else 1 if rel == "<=" else -1
-        self.slack_sign.append(sign)
-        self.slack_col.append(self._new_col() if sign else None)
+        cols = [(self._new_col(), sign)] if sign else []
         art = None
-        if sign and sign * gap >= 0:
-            basic, value = self.slack_col[i], sign * gap
-        else:
-            art = basic = self._new_col()
-            value = abs(gap)
-        self.art_col.append(art)
-        self.art_sign.append(0 if art is None else 1 if gap >= 0 else -1)
-        for col, s in ((self.slack_col[i], sign), (art, self.art_sign[i])):
-            if col is not None:
-                row[col] = s * den
-        if row[basic] < 0:
+        if not sign or sign * gap < 0:
+            art = self._new_col()
+            cols.append((art, 1 if gap >= 0 else -1))
+        for col, s in cols:
+            row[col] = s * den
+        self.witness.append(cols[0])
+        # the last column is basic at |gap|; negate the row where it reads -1
+        basic, s = cols[-1]
+        if s < 0:
             self.tab[i] = [-a for a in row]
         self.basis.append(basic)
         self.status[basic] = BASIC
-        self.val.append(value)
+        self.val.append(abs(gap))
         return art
 
     def _insert_structural_col(self, lp: LinearProgram, var: int) -> int:
         """Place the new variable at tableau index `var` so structural columns
-        stay contiguous; shift slack/artificial bookkeeping right by one."""
+        stay contiguous; every witness, a slack or an artificial, sits right
+        of the structurals and shifts right by one."""
         lo, hi = lp.lo[var], lp.hi[var]
         if lo != 0:
             raise ValueError("warm-absorbed columns must have lo == 0")
@@ -537,6 +492,5 @@ class _Tableau:
             self.tab[i].insert(var, 0)
             if self.basis[i] >= var:
                 self.basis[i] += 1
-        self.slack_col = [c + 1 if c is not None and c >= var else c for c in self.slack_col]
-        self.art_col = [c + 1 if c is not None and c >= var else c for c in self.art_col]
+        self.witness = [(c + 1, s) for c, s in self.witness]
         return var

@@ -4,8 +4,9 @@ Only works when every variable is box-bounded: the feasible region is then a
 compact polytope, so it is nonempty iff it has a vertex and the optimum is
 attained at one.  Every vertex lies on n linearly independent active
 hyperplanes drawn from the rows (taken as equalities) and the variable
-bounds, so enumerating all n-subsets and filtering by feasibility finds the
-exact optimum.  Exponential, fine as a test oracle for small programs.
+bounds, so enumerating the n-subsets and filtering by feasibility finds the
+exact optimum.  A subset holding both bounds of one variable is singular
+and skipped unsolved.  Exponential, fine as a test oracle for small programs.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ def vertex_optimum(lp: LinearProgram) -> tuple[str, Fraction | None]:
         for v, c in coeffs.items():
             dense[v] += c
         planes.append((dense, rhs))
+    # a variable's two bound planes are parallel, and adjacent in any sorted set
+    # holding both: such a set is singular
+    parallel = {(len(planes) + 2 * j, len(planes) + 2 * j + 1) for j in range(n)}
     for j in range(n):
         if lp.hi[j] is None:
             raise ValueError("vertex enumeration needs finite bounds")
@@ -70,6 +74,8 @@ def vertex_optimum(lp: LinearProgram) -> tuple[str, Fraction | None]:
     best: Fraction | None = None
     better = max if lp.sense == "max" else min
     for combo in itertools.combinations(range(len(planes)), n):
+        if not parallel.isdisjoint(zip(combo, combo[1:])):
+            continue
         x = _solve_square([planes[i][0] for i in combo], [planes[i][1] for i in combo])
         if x is None or not _feasible(lp, x):
             continue

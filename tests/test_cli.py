@@ -405,6 +405,17 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, instance, schedule, 
     assert out == ""
 
 
+def test_malformed_json_error_names_its_file(tmp_path, capsys):
+    good, broken = tmp_path / "good.json", tmp_path / "broken.json"
+    good.write_text(json.dumps(GOOD_INSTANCE))
+    broken.write_text("")
+    # the instance, then the schedule, is the file that does not parse
+    for argv in (["validate", str(broken), str(good)], ["validate", str(good), str(broken)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {broken}: Expecting value: line 1 column 1 (char 0)\n"
+
+
 GOOD_SPEC = {"label": "g", "jobs": 3, "hosts": 2, "horizon": 4, "slack": "1/3"}
 
 

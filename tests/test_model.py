@@ -233,6 +233,14 @@ def test_schedule_json_round_trip():
     assert schedule_from_json(obj) == sched
 
 
+def test_schedule_keys_naming_one_job_are_rejected():
+    # "01" and "1" both read as job 1: keeping the later list would hide that
+    # the file runs job 1 in two slots
+    obj = {"placements": {"01": [[1, 1]], "1": [[1, 2]]}}
+    with pytest.raises(ValueError, match="'01' and '1' both name job 1"):
+        schedule_from_json(obj)
+
+
 def test_job_with_cached_window_equals_and_hashes_like_its_twin():
     read, fresh = mk_job(jid=3, release=2, due=5), mk_job(jid=3, release=2, due=5)
     assert read.window == TimeWindow(2, 5)

@@ -1,11 +1,13 @@
 """Exact simplex: hand cases, a classic cycling instance, duals, random
 cross-checks against vertex enumeration, warm-started column adds with
-fractional data (property-tested), and warm-started row adds."""
+fractional data (property-tested), warm-started row adds, and a digest that
+pins the pivot path."""
 
 from __future__ import annotations
 
 import copy
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -195,6 +197,22 @@ def test_solutions_deterministic():
     first = [solve(lp, warm=False) for lp in lps]
     second = [solve(lp, warm=False) for lp in lps]
     assert first == second
+
+
+# sha256 over the criterion-10 corpus; a change to it needs its reason in CHANGES.md
+PIVOT_PATH_DIGEST = "c2f06e081eee557bd0a38381e66ee95ae68e28568b8a17d3c642280b41764df9"
+
+
+def test_pivot_path_is_pinned_on_the_criterion_10_corpus():
+    # where an LP has several optimal vertices or several optimal duals, the
+    # pair returned is fixed by the pivot path: Bland's entering rule, the
+    # ratio-test tie-breaks and the tableau's column order
+    rng = random.Random("acc10")
+    digest = hashlib.sha256()
+    for _ in range(500):
+        sol = solve(random_boxed_lp(rng))
+        digest.update(repr((sol.status, sol.x, sol.duals, sol.objective)).encode())
+    assert digest.hexdigest() == PIVOT_PATH_DIGEST
 
 
 def _unique_optimum(lp: LinearProgram, sol) -> bool:
