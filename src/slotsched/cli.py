@@ -17,7 +17,6 @@ reports them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -30,6 +29,7 @@ from .laminar import transform_instance
 from .maxt import ScheduleError
 from .minr import MinRError, MinRParams
 from .model import (
+    _load_json,
     dumps_canonical,
     format_rational,
     instance_to_json,
@@ -181,7 +181,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    config = json.loads(Path(args.config).read_text())
+    config = _load_json(args.config)
     out_dir = _resolve_out(args.out_dir)
     summary = run_batch(
         config, out_dir, workers=args.workers, timings=args.timings

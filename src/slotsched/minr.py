@@ -232,29 +232,33 @@ def solve_config_lp(instance: Instance) -> ConfigLpResult:
         sol = lp_solve(lp)
         if not sol.optimal:
             raise AssertionError(f"configuration master came back {sol.status}")
-        per_slot: dict[int, Fraction] = {}
-        per_pair: dict[tuple[int, int], Fraction] = {}
-        per_job = {job.id: Fraction(0) for job in jobs}
-        for var, c in enumerate(configs, start=1):
-            x = sol.x[var]
-            if x:
-                per_slot[c.slot] = per_slot.get(c.slot, 0) + x
-                for jid in c.jobs:
-                    per_pair[(jid, c.slot)] = per_pair.get((jid, c.slot), 0) + x
-                    per_job[jid] += x
-        violated = sorted(pair for pair, total in per_pair.items() if total > 1)
+        # activity as ints over scale, the lcm of m's and the positive x's
+        # denominators
+        m = sol.x[m_var]
+        active = [(c, x) for c, x in zip(configs, sol.x[1:]) if x]
+        scale = math.lcm(m.denominator, *[x.denominator for _, x in active])
+        per_slot: dict[int, int] = {}
+        per_pair: dict[tuple[int, int], int] = {}
+        per_job = dict.fromkeys(job_row, 0)
+        for c, x in active:
+            k = x.numerator * (scale // x.denominator)
+            per_slot[c.slot] = per_slot.get(c.slot, 0) + k
+            for jid in c.jobs:
+                per_pair[(jid, c.slot)] = per_pair.get((jid, c.slot), 0) + k
+                per_job[jid] += k
+        violated = sorted(pair for pair, total in per_pair.items() if total > scale)
         if violated:
             for pair in violated:
                 pair_row[pair] = lp.add_row({var: -1 for var in covers[pair]}, ">=", -1)
             continue
-        m = sol.x[m_var]
+        m_scaled = m.numerator * (scale // m.denominator)
         worst = max([
-            Fraction(0),
-            *(total - m for total in per_slot.values()),
-            *(total - 1 for total in per_pair.values()),
-            *(job.length - per_job[job.id] for job in jobs),
+            0,
+            *(total - m_scaled for total in per_slot.values()),
+            *(total - scale for total in per_pair.values()),
+            *(job.length * scale - per_job[job.id] for job in jobs),
         ])
-        trace.append(IterationAudit(sol.objective, added, worst))
+        trace.append(IterationAudit(sol.objective, added, Fraction(worst, scale)))
         duals = sol.duals
         alpha = {j.id: duals[job_row[j.id]] for j in jobs}
         beta = {key: duals[row] for key, row in pair_row.items()}

@@ -468,13 +468,24 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice raises ValueError, where
+    json.load would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path):
-    """The JSON value in file `path`; malformed JSON raises ValueError
-    prefixed with the path."""
+    """The JSON value in file `path`; malformed JSON, or an object that
+    repeats a key, raises ValueError prefixed with the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # json.JSONDecodeError is one
             raise ValueError(f"{path}: {exc}") from None
 
 

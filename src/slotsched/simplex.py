@@ -6,11 +6,14 @@ Bland's smallest-index rule throughout, which trades speed for guaranteed
 termination; at the problem sizes this package deals in, that trade is free.
 
 The tableau is fraction-free.  Each row is a list of Python ints over one
-positive denominator of its own, so a pivot is integer multiply-subtract on
-the rows that have a nonzero in the entering column, followed by one gcd per
-such row; the other rows are not touched.  Basic values, bounds and costs,
-O(rows) work per pivot, are `fractions.Fraction`, as is everything the
-public API returns.  The package needs nothing outside the standard library.
+positive denominator of its own, and carries its basic variable's value as
+one more int over that denominator, so a pivot is integer multiply-subtract
+on the rows that have a nonzero in the entering column, followed by one gcd
+per such row; the other rows are not touched.  A nonbasic variable moving
+between its bounds adds a multiple of its column to those values in the
+same way.  Bound spans are int pairs.  Costs are `fractions.Fraction`s, as
+is everything the public API returns.  The package needs nothing outside
+the standard library.
 
 Duals are Lagrange multipliers for the rows as written: for a maximization,
 a binding <= row has a nonnegative dual and a binding >= row a nonpositive
@@ -19,29 +22,37 @@ one; for a minimization the signs flip.
 Rows enter the tableau one way only.  Each row is expressed in the current
 basis: where the current point satisfies it, its slack becomes basic; where
 it does not, an artificial takes up the violation, and a phase 1 over the
-new artificials alone restores feasibility before phase 2 runs.  A cold
-solve starts from a tableau of structural columns and no rows, every
-variable at its lower bound, and takes in every row this way.  Columns and
-rows can both be appended to a solved program, and the next solve resumes
-from the previous basis: a new column enters nonbasic at its lower bound,
-so the basis stays feasible, and new rows come in as above.  Bland's rule
-holds throughout, so termination is unchanged.  This is what makes column
-generation, and row-and-column generation, affordable.
+new artificials alone restores feasibility before phase 2 runs.  An
+inequality row's artificial column is dropped once it is fixed out of the
+basis; its slack keeps standing for the row.  A cold solve starts from a
+tableau of structural columns and no rows, every variable at its lower
+bound, and takes in every row this way.  Columns and rows can both be
+appended to a solved program, and the next solve resumes from the previous
+basis: a new column enters nonbasic at its lower bound, so the basis stays
+feasible, and new rows come in as above.  Bland's rule holds throughout, so
+termination is unchanged.  This is what makes column generation, and
+row-and-column generation, affordable.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-_q = Fraction  # rational type of values, bounds, costs and results; bench/run.py reports it
+_q = Fraction  # rational type of costs and results; bench/run.py reports it
 _ZERO = Fraction(0)
+_NO_SPAN = (0, 1)  # the bound span of a fixed variable, as ubound holds it
 _PIVOT_LIMIT = 1_000_000  # pivots per phase of one solve; a guard, since Bland's rule terminates
 
 LOWER, UPPER, BASIC, FIXED = 0, 1, 2, 3
 
 _REL = ("<=", ">=", "==")
+
+
+def _pair(q: Fraction) -> tuple[int, int]:
+    return q.numerator, q.denominator
 
 
 class CyclingLimitError(RuntimeError):
@@ -151,68 +162,72 @@ def solve(lp: LinearProgram, warm: bool = True) -> LpSolution:
     if tab.phase1(arts) == "infeasible":
         lp._tableau = None
         return LpSolution("infeasible", None, None, None)
+    tab.drop_dead_artificials(lp.n_vars)
     if tab.phase2() == "unbounded":
         lp._tableau = None
         return LpSolution("unbounded", None, None, None)
     lp._tableau = tab
     x = tab.primal_values(lp)
     duals = tab.dual_values()
-    obj = sum((lp.obj[j] * x[j] for j in range(lp.n_vars)), Fraction(0))
+    tab.drop_dead_artificials(lp.n_vars)  # those phase 2 took out of the basis
+    obj = sum((c * v for c, v in zip(lp.obj, x) if c and v), _ZERO)
     return LpSolution("optimal", tuple(x), tuple(duals), obj)
 
 
-def _scaled_row(lp: LinearProgram, i: int) -> tuple[int, dict[int, int], Fraction]:
-    """Row i of `lp` as (scale, integer coefficients, shifted rhs): the
-    coefficients times the lcm of their denominators, and the rhs less the
-    row's activity at the lower bounds (columns are shifted to lower 0)."""
-    coeffs, _, b = lp.rows[i]
-    scale = math.lcm(*(c.denominator for c in coeffs.values()))
-    ints = {v: c.numerator * (scale // c.denominator) for v, c in coeffs.items()}
-    return scale, ints, b - sum((c * lp.lo[v] for v, c in coeffs.items() if lp.lo[v]), _ZERO)
-
-
-def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
-    """The rational row row/den (den > 0) with gcd(den, *row) == 1."""
+def _lowest_terms(row: list[int], rhs: int, den: int) -> tuple[list[int], int, int]:
+    """The rational row (row | rhs) / den (den > 0) with gcd(den, rhs, *row)
+    == 1.  The row is scanned only when den and rhs share a factor."""
     if den == 1:
-        return row, 1
-    g = math.gcd(den, *row)
-    if g == 1:
-        return row, den
-    return [a // g for a in row], den // g
+        return row, rhs, 1
+    g = math.gcd(den, rhs)
+    if g != 1:
+        g = math.gcd(g, *row)
+        if g != 1:
+            return [a // g for a in row], rhs // g, den // g
+    return row, rhs, den
 
 
 def _eliminate(
-    row: list[int], den: int, nonzeros: list[tuple[int, int]], pden: int, enter: int
-) -> tuple[list[int], int]:
-    """Clear row/den's entering column with the pivot row prow/pden, given
-    by its nonzeros (j, prow[j]) and with entering entry 1: for f =
-    row[enter], (row*pden - f*prow) / (den*pden) in lowest terms.  When
-    pden == 1 only the entries at those nonzeros change."""
+    row: list[int], rhs: int, den: int, nonzeros: list[tuple[int, int]], prhs: int, pden: int, enter: int
+) -> tuple[list[int], int, int]:
+    """Clear (row | rhs)/den's entering column with the pivot row (prow |
+    prhs)/pden, given by its nonzeros (j, prow[j]) and with entering entry 1:
+    for f = row[enter], (row*pden - f*prow) / (den*pden) in lowest terms,
+    and likewise for the rhs.  When pden == 1 only the entries at those
+    nonzeros change."""
     f = row[enter]
     if pden != 1:
         row = [a * pden for a in row]
+        rhs *= pden
         den *= pden
     for j, b in nonzeros:
         row[j] -= f * b
-    return _lowest_terms(row, den)
+    return _lowest_terms(row, rhs - f * prhs, den)
 
 
 class _Tableau:
     """Bounded-variable simplex state on integer rows.
 
-    Row i stands for the rational row tab[i] / den[i]: tab[i] is a list of
-    ints and den[i] a positive int, kept in lowest terms (gcd(den[i],
-    *tab[i]) == 1), so the row's basic column holds tab[i][basis[i]] ==
-    den[i].  The z-row is zrow / zden under the same rules.  Basic values
-    (val), bound spans (ubound) and costs are Fractions.
+    Row i stands for the rational row (tab[i] | rhs[i]) / den[i]: tab[i] is
+    a list of ints, rhs[i] an int and den[i] a positive int, kept in lowest
+    terms (gcd(den[i], rhs[i], *tab[i]) == 1), so the row's basic column
+    holds tab[i][basis[i]] == den[i] and its basic variable's value is
+    rhs[i] / den[i].  Every nonbasic variable sits at a bound, 0 or its span
+    ubound (an int pair (num, den), or None for no upper bound), and the rhs
+    already accounts for those at their upper bound: moving a nonbasic
+    variable between bounds, or making it basic, goes through _shift.  The
+    z-row is zrow / zden under the same rules, with no rhs.  Costs are
+    Fractions.
 
     Columns: structural variables (shifted to lower bound 0), then per row,
     in row order, its slack (inequality rows) and its artificial (where the
     slack could not start basic, and always for an equality row).  Each row
     keeps one witness (column, sign): its slack, or for an equality row its
     artificial.  The witness columns embed B^-1, which is what dual
-    extraction and warm column absorption read, so artificials are fixed to
-    0 after phase 1 but keep their columns.
+    extraction and warm column absorption read.  Phase 1 fixes artificials
+    at 0.  An inequality row's artificial is +-1 times its slack column, so
+    once it is fixed nonbasic nothing reads it and its column is dropped;
+    an equality row's artificial, and one still basic at 0, stay.
 
     The tableau keeps no reference to its program (methods that read it take
     it as an argument), so a program and its cached tableau form no cycle.
@@ -222,15 +237,15 @@ class _Tableau:
         self.sign = 1 if lp.sense == "max" else -1
         # structural columns, shifted: x = x' + lo, x' in [0, hi-lo]
         self.ncols = lp.n_vars
-        self.ubound: list[Fraction | None] = [
-            hi - lo if lo and hi is not None else hi for lo, hi in zip(lp.lo, lp.hi)
+        self.ubound: list[tuple[int, int] | None] = [
+            None if hi is None else _pair(hi - lo) for lo, hi in zip(lp.lo, lp.hi)
         ]
         self.cost: list[Fraction] = lp.obj[:] if self.sign == 1 else [-c for c in lp.obj]
-        self.status = [FIXED if ub == 0 else LOWER for ub in self.ubound]
+        self.status = [FIXED if ub == _NO_SPAN else LOWER for ub in self.ubound]
         # no rows yet: absorb_row writes each one
         self.tab: list[list[int]] = []
+        self.rhs: list[int] = []
         self.den: list[int] = []
-        self.val: list[Fraction] = []
         self.basis: list[int] = []
         self.witness: list[tuple[int, int]] = []  # per row: (column, sign)
         self.zrow: list[int] = []
@@ -247,6 +262,26 @@ class _Tableau:
         self.ncols += 1
         return self.ncols - 1
 
+    def drop_dead_artificials(self, nstruct: int) -> None:
+        """Delete every column past the `nstruct` structurals that is fixed
+        nonbasic and no row's witness: the artificials of inequality rows
+        that phase 1 fixed or a later pivot took out of the basis.  Slacks
+        are never fixed, and an equality row's artificial is its witness.
+        Later columns shift left in order, so Bland's rule sees the same
+        sequence.  The z-row is rebuilt by the next phase."""
+        witnesses = {col for col, _ in self.witness}
+        status = self.status
+        cols = [j for j in range(nstruct, self.ncols) if status[j] == FIXED and j not in witnesses]
+        if not cols:
+            return
+        for col in reversed(cols):
+            for row in self.tab:
+                del row[col]
+            del self.ubound[col], self.cost[col], self.status[col]
+        self.ncols -= len(cols)
+        self.basis = [b - bisect_left(cols, b) for b in self.basis]
+        self.witness = [(c - bisect_left(cols, c), s) for c, s in self.witness]
+
     # -- phases ------------------------------------------------------------
 
     def _reset_zrow(self, costs: list[Fraction]) -> None:
@@ -258,7 +293,7 @@ class _Tableau:
         for i, w in weights:
             k = w.numerator * (zden // w.denominator)
             zrow = [z + k * a for z, a in zip(zrow, self.tab[i])]
-        self.zrow, self.zden = _lowest_terms(zrow, zden)
+        self.zrow, _, self.zden = _lowest_terms(zrow, 0, zden)
 
     def phase1(self, arts: list[int]) -> str:
         """Drive the artificial columns `arts` to zero, then fix them there.
@@ -272,12 +307,11 @@ class _Tableau:
         if self._iterate() == "unbounded":
             raise AssertionError("phase 1 objective is bounded above by zero")
         new = set(arts)
-        infeas = sum((self.val[i] for i, b in enumerate(self.basis) if b in new), _ZERO)
-        if infeas != 0:
+        if any(self.rhs[i] for i, b in enumerate(self.basis) if b in new):
             return "infeasible"
         # lock artificials at zero; basic-at-zero artificials may remain
         for col in arts:
-            self.ubound[col] = _ZERO
+            self.ubound[col] = _NO_SPAN
             if self.status[col] != BASIC:
                 self.status[col] = FIXED
         return "feasible"
@@ -289,7 +323,7 @@ class _Tableau:
     # -- core pivoting -----------------------------------------------------
 
     def _iterate(self) -> str:
-        tab, den, val = self.tab, self.den, self.val
+        tab, rhs, den = self.tab, self.rhs, self.den
         basis, ubound, status = self.basis, self.ubound, self.status
         for _ in range(_PIVOT_LIMIT):
             zrow = self.zrow
@@ -307,94 +341,98 @@ class _Tableau:
                 return "optimal"
             # ratio test: largest step t >= 0 along the improving direction;
             # start from the entering variable's own bound span.  Row i's
-            # entry is g / den[i], so its cap is val[i] * den[i] / g; caps
-            # are compared as int pairs (num, positive den) by cross-multiplying.
-            ub = ubound[enter]
-            limit = None if ub is None else (ub.numerator, ub.denominator)
+            # entry is g / den[i] and its value rhs[i] / den[i], so its cap
+            # is rhs[i] / g down to 0, or (ub * den[i] - rhs[i]) / -g up to
+            # a span ub; caps are int pairs (num, positive den) compared by
+            # cross-multiplying.
+            limit = ubound[enter]
             leave_row = -1
             leave_to = LOWER
             for i in range(len(basis)):
                 g = direction * tab[i][enter]
                 if g > 0:
-                    v = val[i]
-                    cap = (v.numerator * den[i], v.denominator * g)
+                    cap = (rhs[i], g)
                     to = LOWER
                 elif g < 0:
                     ub = ubound[basis[i]]
                     if ub is None:
                         continue
-                    v = ub - val[i]
-                    cap = (v.numerator * den[i], -v.denominator * g)
+                    cap = (ub[0] * den[i] - rhs[i] * ub[1], -g * ub[1])
                     to = UPPER
                 else:
                     continue
                 if limit is None:
                     limit, leave_row, leave_to = cap, i, to
                     continue
-                lhs, rhs = cap[0] * limit[1], limit[0] * cap[1]
-                if lhs < rhs:
+                here, best = cap[0] * limit[1], limit[0] * cap[1]
+                if here < best:
                     limit, leave_row, leave_to = cap, i, to
-                elif lhs == rhs and (leave_row < 0 or basis[i] < basis[leave_row]):
+                elif here == best and (leave_row < 0 or basis[i] < basis[leave_row]):
                     # prefer pivoting over a bound flip on a tie, and break
                     # row ties by the smallest basic index (Bland)
                     limit, leave_row, leave_to = cap, i, to
             if limit is None:
                 return "unbounded"
-            t = Fraction(*limit)
-            if t:
-                # val[i] -= t * direction * tab[i][enter] / den[i], built as
-                # one fraction over vd * td * den[i]
-                tn, td = limit[0] * direction, limit[1]
-                for i in range(len(basis)):
-                    a = tab[i][enter]
-                    if a:
-                        v = val[i]
-                        vd = v.denominator
-                        val[i] = Fraction(v.numerator * td * den[i] - tn * a * vd, vd * td * den[i])
             if leave_row < 0:
+                # bound flip: the entering variable crosses its whole span
+                self._shift(enter, direction * limit[0], limit[1])
                 status[enter] = UPPER if direction > 0 else LOWER
                 continue
-            self._pivot(leave_row, enter, t, direction, leave_to)
+            self._pivot(leave_row, enter, leave_to)
         raise CyclingLimitError(f"exceeded {_PIVOT_LIMIT} pivots")
 
-    def _pivot(self, r: int, enter: int, t: Fraction, direction: int, leave_to: int) -> None:
+    def _shift(self, col: int, qn: int, qd: int) -> None:
+        """Raise nonbasic column col's value by qn/qd (qd > 0): each row's
+        basic value falls by qn/qd times its entry in col.  A row is
+        rescaled only where qd does not divide that entry's numerator."""
+        tab, rhs, den = self.tab, self.rhs, self.den
+        for i, row in enumerate(tab):
+            a = row[col]
+            if not a:
+                continue
+            up = qd // math.gcd(a, qd)
+            if up != 1:
+                row = [b * up for b in row]
+                rhs[i] *= up
+                den[i] *= up
+            tab[i], rhs[i], den[i] = _lowest_terms(row, rhs[i] - qn * (a * up // qd), den[i])
+
+    def _pivot(self, r: int, enter: int, leave_to: int) -> None:
         leaving = self.basis[r]
+        # the entering variable turns basic, measured from 0, and the leaving
+        # one nonbasic at its bound; the elimination then yields every new
+        # basic value in the rhs
+        if self.status[enter] == UPPER:
+            un, ud = self.ubound[enter]
+            self._shift(enter, -un, ud)
+        ub = self.ubound[leaving]
+        if leave_to == UPPER and ub[0]:
+            self._shift(leaving, *ub)  # its column is row r's unit column
         # row r over its pivot entry: the den[r] cancels
-        prow, pden = self.tab[r], self.tab[r][enter]
+        prow, prhs, pden = self.tab[r], self.rhs[r], self.tab[r][enter]
         if pden < 0:
-            prow, pden = [-a for a in prow], -pden
-        prow, pden = _lowest_terms(prow, pden)
-        self.tab[r], self.den[r] = prow, pden
+            prow, prhs, pden = [-a for a in prow], -prhs, -pden
+        prow, prhs, pden = _lowest_terms(prow, prhs, pden)
+        tab, rhs, den = self.tab, self.rhs, self.den
+        tab[r], rhs[r], den[r] = prow, prhs, pden
         nonzeros = [(j, b) for j, b in enumerate(prow) if b]
-        tab, den = self.tab, self.den
         for i in range(len(tab)):
             if i != r and tab[i][enter]:
-                tab[i], den[i] = _eliminate(tab[i], den[i], nonzeros, pden, enter)
+                tab[i], rhs[i], den[i] = _eliminate(tab[i], rhs[i], den[i], nonzeros, prhs, pden, enter)
         if self.zrow[enter]:
-            self.zrow, self.zden = _eliminate(self.zrow, self.zden, nonzeros, pden, enter)
-        if self.ubound[leaving] == 0:
-            self.status[leaving] = FIXED
-        else:
-            self.status[leaving] = leave_to
+            self.zrow, _, self.zden = _eliminate(self.zrow, 0, self.zden, nonzeros, 0, pden, enter)
+        self.status[leaving] = FIXED if ub == _NO_SPAN else leave_to
         self.status[enter] = BASIC
         self.basis[r] = enter
-        self.val[r] = t if direction > 0 else self.ubound[enter] - t
 
     # -- extraction, warm columns and warm rows ------------------------------
 
-    def _point(self) -> list[Fraction]:
-        """Current values of every tableau column, structurals shifted."""
-        vals: list[Fraction] = [
-            self.ubound[j] if self.status[j] == UPPER else _ZERO
-            for j in range(self.ncols)
-        ]
-        for i, b in enumerate(self.basis):
-            vals[b] = self.val[i]
-        return vals
-
     def primal_values(self, lp: LinearProgram) -> list[Fraction]:
-        vals = self._point()
-        return [vals[j] + lo if lo else vals[j] for j, lo in enumerate(lp.lo)]
+        x = [Fraction(*self.ubound[j]) if st == UPPER else _ZERO for j, st in enumerate(self.status[: lp.n_vars])]
+        for i, b in enumerate(self.basis):
+            if b < lp.n_vars:
+                x[b] = Fraction(self.rhs[i], self.den[i])
+        return [v + lo if lo else v for v, lo in zip(x, lp.lo)]
 
     def dual_values(self) -> list[Fraction]:
         # row i's multiplier is read off the z-row under its witness column;
@@ -404,9 +442,13 @@ class _Tableau:
 
     def absorb_column(self, lp: LinearProgram, var: int) -> None:
         """Extend the tableau with a structural column of `lp` appended after
-        the last solve.  The z-row is rebuilt at the next phase2 call, so only
-        the B^-1 A column needs computing here."""
-        col = self._insert_structural_col(lp, var)
+        the last solve, nonbasic at its lower bound 0, so no rhs moves.  The
+        column takes tableau index `var`, keeping the structurals contiguous;
+        every slack and artificial shifts right by one.  The z-row is rebuilt
+        at the next phase2 call, so only the B^-1 A column needs computing."""
+        lo, hi = lp.lo[var], lp.hi[var]
+        if lo != 0:
+            raise ValueError("warm-absorbed columns must have lo == 0")
         # B^-1 e_i is embedded in row i's witness column, so the new column
         # is sum_i c_i * ws_i * (witness column of row i), with the c_i scaled
         # to integers k_i by the lcm of their denominators
@@ -415,82 +457,77 @@ class _Tableau:
             c = lp.rows[i][0].get(var)
             if c:
                 terms.append((wcol, ws * c))
-        scale = math.lcm(*(c.denominator for _, c in terms))
-        nums = [0] * len(self.tab)
-        for wcol, c in terms:
-            k = c.numerator * (scale // c.denominator)
-            nums = [num + k * row[wcol] for num, row in zip(nums, self.tab)]
-        for r, (num, row) in enumerate(zip(nums, self.tab)):
-            if not num:
-                continue
-            # the entry is num / (den[r] * scale); rescale the row where the
-            # reduced fraction needs a larger denominator
-            g = math.gcd(num, scale)
-            num, up = num // g, scale // g
-            if up != 1:
-                self.tab[r] = row = [a * up for a in row]
-                self.den[r] *= up
-            row[col] = num
+        scale = math.lcm(*[c.denominator for _, c in terms])
+        ints = [(wcol, c.numerator * (scale // c.denominator)) for wcol, c in terms]
+        tab, rhs, den = self.tab, self.rhs, self.den
+        for r, row in enumerate(tab):
+            num = 0
+            for wcol, k in ints:
+                num += k * row[wcol]
+            if num:
+                # the entry is num / (den[r] * scale); rescale the row where
+                # the reduced fraction needs a larger denominator
+                g = math.gcd(num, scale)
+                num, up = num // g, scale // g
+                if up != 1:
+                    tab[r] = row = [a * up for a in row]
+                    rhs[r] *= up
+                    den[r] *= up
+            row.insert(var, num)
+        ub = None if hi is None else _pair(hi)
+        self.ubound.insert(var, ub)
+        self.cost.insert(var, self.sign * lp.obj[var])
+        self.status.insert(var, FIXED if ub == _NO_SPAN else LOWER)
+        self.ncols += 1
+        self.basis = [b + 1 if b >= var else b for b in self.basis]
+        self.witness = [(c + 1, s) for c, s in self.witness]
 
     def absorb_row(self, lp: LinearProgram, i: int) -> int | None:
         """Extend the tableau with row i of `lp`, the next row it does not
         hold, written in the current basis.  A fresh tableau holds no rows,
         so a cold solve writes every row this way.
 
-        The row is scaled to integers and each basic column's entry is
-        cleared against that column's row.  An inequality row appends its
-        slack column, its witness.  Where the current point satisfies the
-        row, the slack becomes basic and None is returned.  Otherwise an
-        artificial column follows (always, and as the witness, for an
-        equality row), basic at the size of the violation, and is returned
-        for phase 1 to drive to zero."""
-        coeffs, rel, _ = lp.rows[i]
-        scale, ints, rhs = _scaled_row(lp, i)
-        point = self._point()
-        gap = rhs - sum((c * point[v] for v, c in coeffs.items() if point[v]), _ZERO)
-        row, den = [0] * self.ncols, scale
-        for v, a in ints.items():
-            row[v] = a
+        The row is scaled to integers, with its rhs less the activity of the
+        nonbasic variables (at their lower bounds, plus the span of those at
+        their upper bound), and each basic column's entry is cleared against
+        that column's row; the rhs is then the gap, the rhs less the
+        activity at the current point.  An inequality row appends its slack
+        column, its witness.  Where the gap satisfies the row, the slack
+        becomes basic and None is returned.  Otherwise an artificial column
+        follows (always, and as the witness, for an equality row), basic at
+        the size of the violation, and is returned for phase 1 to drive to
+        zero."""
+        coeffs, rel, b = lp.rows[i]
+        status, ubound = self.status, self.ubound
+        rest = b - sum((c * lp.lo[v] for v, c in coeffs.items() if lp.lo[v]), _ZERO)
+        rest -= sum((c * Fraction(*ubound[v]) for v, c in coeffs.items() if status[v] == UPPER), _ZERO)
+        den = math.lcm(rest.denominator, *[c.denominator for c in coeffs.values()])
+        row = [0] * self.ncols
+        for v, c in coeffs.items():
+            row[v] = c.numerator * (den // c.denominator)
+        rhs = rest.numerator * (den // rest.denominator)
         for k, col in enumerate(self.basis):
             if row[col]:
                 nonzeros = [(j, a) for j, a in enumerate(self.tab[k]) if a]
-                row, den = _eliminate(row, den, nonzeros, self.den[k], col)
+                row, rhs, den = _eliminate(row, rhs, den, nonzeros, self.rhs[k], self.den[k], col)
         self.tab.append(row)
+        self.rhs.append(rhs)
         self.den.append(den)
         # (column, sign) of the slack, then of the artificial if needed
         sign = 0 if rel == "==" else 1 if rel == "<=" else -1
         cols = [(self._new_col(), sign)] if sign else []
         art = None
-        if not sign or sign * gap < 0:
+        if not sign or sign * rhs < 0:
             art = self._new_col()
-            cols.append((art, 1 if gap >= 0 else -1))
+            cols.append((art, 1 if rhs >= 0 else -1))
         for col, s in cols:
             row[col] = s * den
         self.witness.append(cols[0])
         # the last column is basic at |gap|; negate the row where it reads -1
         basic, s = cols[-1]
         if s < 0:
-            self.tab[i] = [-a for a in row]
+            self.tab[-1] = [-a for a in row]
+            self.rhs[-1] = -rhs
         self.basis.append(basic)
-        self.status[basic] = BASIC
-        self.val.append(abs(gap))
+        status[basic] = BASIC
         return art
-
-    def _insert_structural_col(self, lp: LinearProgram, var: int) -> int:
-        """Place the new variable at tableau index `var` so structural columns
-        stay contiguous; every witness, a slack or an artificial, sits right
-        of the structurals and shifts right by one."""
-        lo, hi = lp.lo[var], lp.hi[var]
-        if lo != 0:
-            raise ValueError("warm-absorbed columns must have lo == 0")
-        ub = None if hi is None else hi - lo
-        self.ubound.insert(var, ub)
-        self.cost.insert(var, self.sign * lp.obj[var])
-        self.status.insert(var, FIXED if ub == 0 else LOWER)
-        self.ncols += 1
-        for i in range(len(self.basis)):
-            self.tab[i].insert(var, 0)
-            if self.basis[i] >= var:
-                self.basis[i] += 1
-        self.witness = [(c + 1, s) for c, s in self.witness]
-        return var

@@ -416,6 +416,35 @@ def test_malformed_json_error_names_its_file(tmp_path, capsys):
         assert err == f"error: {broken}: Expecting value: line 1 column 1 (char 0)\n"
 
 
+TWO_UNIT_JOBS = (
+    '{"hosts": 1, "dim": 1, "jobs": ['
+    '{"id": 1, "release": 1, "due": 2, "length": 1, "demand": ["1/2"]}, '
+    '{"id": 2, "release": 1, "due": 2, "length": 1, "demand": ["1/2"]}]}'
+)
+ONE_PLACEMENT = '{"placements": {"1": [[1, 1]]}}'
+
+
+@pytest.mark.parametrize(
+    "instance, schedule, key",
+    [
+        (TWO_UNIT_JOBS, '{"placements": {"1": [[1, 1]], "1": [[1, 2]]}}', "'1'"),
+        (TWO_UNIT_JOBS.replace('"hosts": 1,', '"hosts": 1, "hosts": 2,'), ONE_PLACEMENT, "'hosts'"),
+        (TWO_UNIT_JOBS.replace('"due": 2,', '"due": 2, "due": 1,', 1), ONE_PLACEMENT, "'due'"),
+    ],
+    ids=["schedule-job", "instance-field", "job-field"],
+)
+def test_a_repeated_json_key_is_an_error(tmp_path, capsys, instance, schedule, key):
+    # json.load keeps the last of two equal keys; the first list of job 1
+    # would vanish and the schedule read as feasible
+    inst_path, sched_path = tmp_path / "inst.json", tmp_path / "sched.json"
+    inst_path.write_text(instance)
+    sched_path.write_text(schedule)
+    code, out, err = run(capsys, "validate", str(inst_path), str(sched_path))
+    assert code == 1 and out == ""
+    broken = sched_path if key == "'1'" else inst_path
+    assert err == f"error: {broken}: repeated key {key}\n"
+
+
 GOOD_SPEC = {"label": "g", "jobs": 3, "hosts": 2, "horizon": 4, "slack": "1/3"}
 
 
@@ -461,6 +490,21 @@ def test_malformed_batch_config_is_a_clean_error(tmp_path, capsys, config, field
     assert out == ""
     written = [p for p in tmp_path.rglob("*") if p.is_file() and out_dir not in p.parents]
     assert written == [cfg]
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [('{"seed": ', "Expecting value: line 1 column 10 (char 9)"),
+     ('{"seed": 0, "seed": 1, "solvers": []}', "repeated key 'seed'")],
+    ids=["truncated", "repeated-key"],
+)
+def test_batch_config_that_does_not_parse_names_its_file(tmp_path, capsys, text, detail):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "batch", str(cfg), "--out-dir", str(tmp_path / "b"))
+    assert code == 1 and out == ""
+    assert err == f"error: {cfg}: {detail}\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
 
 def test_batch_rejects_a_negative_oracle_limit(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Exact simplex: hand cases, a classic cycling instance, duals, random
 cross-checks against vertex enumeration, warm-started column adds with
-fractional data (property-tested), warm-started row adds, and a digest that
-pins the pivot path."""
+fractional data (property-tested), warm-started row adds (property-tested on
+fractional bounds, with every bound move that rewrites a row's rhs), dropped
+artificial columns, and a digest that pins the pivot path."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import gc
 import hashlib
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _lpref import check_certificates, random_boxed_lp, vertex_optimum
-from slotsched.simplex import LinearProgram, solve
+from slotsched import simplex
+from slotsched.simplex import BASIC, UPPER, LinearProgram, solve
 
 
 def test_max_single_variable():
@@ -383,3 +386,95 @@ def test_row_that_empties_the_program_reports_infeasible():
     lp.add_row({x: 1}, "==", Fraction(1, 2))
     assert solve(lp).status == "infeasible"
     assert lp._tableau is None  # the next solve starts cold
+
+
+# -- bound moves on fractional bounds, and dropped artificials ----------------------
+
+
+def _record_bound_moves(monkeypatch) -> Counter:
+    """Count the tableau's bound moves as they happen: a bound flip (a shift
+    outside a pivot), a pivot whose leaving variable goes to a fractional
+    upper bound (a shift of a basic column with a denominator above 1), and
+    a row absorbed while one of its structurals sits at its upper bound."""
+    seen: Counter = Counter()
+    tableau = simplex._Tableau
+    shift, pivot, absorb_row = tableau._shift, tableau._pivot, tableau.absorb_row
+    pivoting = []
+
+    def record_shift(self, col, qn, qd):
+        if not pivoting:
+            seen["bound flip"] += 1
+        elif self.status[col] == BASIC and qd > 1:
+            seen["leaves to a fractional upper bound"] += 1
+        return shift(self, col, qn, qd)
+
+    def record_pivot(self, *args):
+        pivoting.append(True)
+        try:
+            return pivot(self, *args)
+        finally:
+            pivoting.pop()
+
+    def record_absorb_row(self, lp, i):
+        if any(self.status[v] == UPPER for v in lp.rows[i][0]):
+            seen["row absorbed at an upper bound"] += 1
+        return absorb_row(self, lp, i)
+
+    monkeypatch.setattr(tableau, "_shift", record_shift)
+    monkeypatch.setattr(tableau, "_pivot", record_pivot)
+    monkeypatch.setattr(tableau, "absorb_row", record_absorb_row)
+    return seen
+
+
+def test_warm_rows_on_fractional_bounds_match_cold_solves_and_the_vertex_oracle(monkeypatch):
+    # fractional bound spans make a bound move rescale the rows it touches
+    seen = _record_bound_moves(monkeypatch)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        sense=st.sampled_from(["max", "min"]),
+        variables=st.lists(_var, min_size=1, max_size=3),
+        rows=st.lists(_row, max_size=3),
+        added=st.lists(_row, min_size=1, max_size=3),
+    )
+    def check(sense, variables, rows, added):
+        lp = LinearProgram(sense)
+        for obj, lo, span in variables:
+            lp.add_variable(objective=obj, lo=lo, hi=lo + span)
+        for coeffs, rel, rhs in rows:
+            lp.add_row({v % lp.n_vars: c for v, c in coeffs.items()}, rel, rhs)
+        if not solve(lp).optimal:
+            return
+        for coeffs, rel, rhs in added:
+            lp.add_row({v % lp.n_vars: c for v, c in coeffs.items()}, rel, rhs)
+        _check_against_cold_and_oracle(lp, solve(lp))
+
+    check()
+    kinds = ("bound flip", "leaves to a fractional upper bound", "row absorbed at an upper bound")
+    assert all(seen[kind] for kind in kinds), seen
+
+
+def test_warm_solve_keeps_no_dead_artificial_column():
+    # every violated >= row brings an artificial; once phase 1 or a pivot has
+    # fixed it nonbasic its column is gone, and only basic ones may stay
+    rng = random.Random(20261020)
+    violated = 0
+    for _ in range(80):
+        lp = random_boxed_lp(rng, max_vars=3, max_rows=3)
+        sol = solve(lp)
+        if not sol.optimal:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            coeffs, rel, rhs = _random_row(rng, lp.n_vars, ">=")
+            violated += sum((c * sol.x[v] for v, c in coeffs.items()), Fraction(0)) < rhs
+            lp.add_row(coeffs, rel, rhs)
+        warm = solve(lp)
+        _check_against_cold_and_oracle(lp, warm)
+        if not warm.optimal:
+            continue
+        tab = lp._tableau
+        witnesses = {col for col, _ in tab.witness}
+        extra = [j for j in range(lp.n_vars, tab.ncols) if j not in witnesses]
+        assert all(tab.status[j] == BASIC for j in extra)
+        assert tab.ncols == lp.n_vars + lp.n_rows + len(extra)
+    assert violated >= 30, violated
