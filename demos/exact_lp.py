@@ -5,7 +5,8 @@ Builds a small LP by hand, solves it with exact arithmetic, and checks
 the answer the way the test oracles do: primal feasibility, dual
 feasibility, and matching objectives (strong duality).  Then it adds a
 cutting row to the solved program and re-solves it warm, from the last
-basis, and checks the result against a cold solve.  No floating point
+basis, and checks the result against a cold solve of the same program
+built afresh.  No floating point
 anywhere — every number below is a fraction.
 
     python3 demos/exact_lp.py
@@ -16,9 +17,9 @@ from fractions import Fraction
 from slotsched.simplex import LinearProgram, solve
 
 
-def main() -> None:
+def build(cap=10) -> LinearProgram:
     # maximize 3x + 2y + 4z
-    #   subject to  x + y + z <= 10
+    #   subject to  x + y + z <= cap
     #               x - y     >= -4
     #               2x      + z == 8
     #               x, y in [0, 6],  z in [0, 5]
@@ -26,12 +27,19 @@ def main() -> None:
     x = lp.add_variable(objective=3, lo=0, hi=6)
     y = lp.add_variable(objective=2, lo=0, hi=6)
     z = lp.add_variable(objective=4, lo=0, hi=5)
-    rows = [
-        lp.add_row({x: 1, y: 1, z: 1}, "<=", 10),
-        lp.add_row({x: 1, y: -1}, ">=", -4),
-        lp.add_row({x: 2, z: 1}, "==", 8),
-    ]
+    lp.add_row({x: 1, y: 1, z: 1}, "<=", cap)
+    lp.add_row({x: 1, y: -1}, ">=", -4)
+    lp.add_row({x: 2, z: 1}, "==", 8)
+    return lp
 
+
+def activity(lp: LinearProgram, x, row: int) -> Fraction:
+    return sum((c * x[v] for v, c in lp.rows[row][0].items()), Fraction(0))
+
+
+def main() -> None:
+    lp = build()
+    x, y, z = range(3)
     sol = solve(lp)
     print("== primal solution ==")
     print(f"status: {sol.status}")
@@ -41,8 +49,8 @@ def main() -> None:
     print(f"objective = {sol.objective}")
 
     print("\n== row activities ==")
-    for i, row in enumerate(rows):
-        print(f"  row {i}: activity {lp.row_activity(sol.x, row)}")
+    for i in range(lp.n_rows):
+        print(f"  row {i}: activity {activity(lp, sol.x, i)}")
 
     print("\n== dual certificate ==")
     for i, dual in enumerate(sol.duals):
@@ -51,14 +59,7 @@ def main() -> None:
     # strong duality: primal objective == rhs'y + bound terms; spot-check by
     # perturbing the binding rhs and watching the objective move by the dual
     print("\n== duals predict sensitivity ==")
-    bump = LinearProgram(sense="max")
-    xb = bump.add_variable(objective=3, lo=0, hi=6)
-    yb = bump.add_variable(objective=2, lo=0, hi=6)
-    zb = bump.add_variable(objective=4, lo=0, hi=5)
-    bump.add_row({xb: 1, yb: 1, zb: 1}, "<=", 11)  # 10 -> 11
-    bump.add_row({xb: 1, yb: -1}, ">=", -4)
-    bump.add_row({xb: 2, zb: 1}, "==", 8)
-    bumped = solve(bump)
+    bumped = solve(build(cap=11))
     delta = bumped.objective - sol.objective
     print(f"rhs 10 -> 11 moves the objective by {delta} (dual was {sol.duals[0]})")
     assert delta == sol.duals[0]
@@ -72,10 +73,12 @@ def main() -> None:
     for var, name in names.items():
         print(f"  {name} = {warm.x[var]}")
     print(f"objective = {warm.objective}, dual of the cut = {warm.duals[cut]}")
-    cold = solve(lp, warm=False)
-    print(f"a cold solve agrees: objective {cold.objective}")
+    fresh = build()
+    fresh.add_row({y: 1, z: 1}, "<=", 8)
+    cold = solve(fresh)
+    print(f"a cold solve of the same program built afresh agrees: objective {cold.objective}")
     assert warm.objective == cold.objective < sol.objective
-    assert lp.row_activity(warm.x, cut) <= 8
+    assert activity(lp, warm.x, cut) <= 8
 
     print("\nall exact: Fractions in, Fractions out.")
 

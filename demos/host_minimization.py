@@ -50,7 +50,7 @@ def main() -> None:
     print("\n== randomized cover + residual phase ==")
     result = solve_minr(instance, seed="demo")
     print(f"phase-1 sampling hosts (m1): {result.m1}")
-    print(f"phase-2 residual hosts (m2): {result.m2}")
+    print(f"phase-2 residual hosts (m2): {result.m_int}")
     print(f"dedicated fallback hosts:    {len(result.fallback_ids)}")
     print(f"hosts used:                  {result.hosts_used}")
     print("(the oversampling constant c = 6 dominates at toy scale; the")

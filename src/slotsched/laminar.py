@@ -15,7 +15,7 @@ small horizons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from slotsched.model import Instance, Job, TimeWindow
@@ -42,15 +42,6 @@ def window_forest(windows: Iterable[TimeWindow]) -> dict[TimeWindow, TimeWindow 
         parent[w] = stack[-1] if stack else None
         stack.append(w)
     return parent
-
-
-def is_laminar(windows: Iterable[TimeWindow]) -> bool:
-    """True iff every pair of windows is nested or disjoint.
-
-    Duplicates are fine (a window nests in itself).  O(k log k) on the k
-    distinct windows: a family is laminar exactly when window_forest builds.
-    """
-    return window_forest(windows) is not None
 
 
 @dataclass(frozen=True)
@@ -158,16 +149,7 @@ def transform_instance(instance: Instance) -> tuple[Instance, LaminarMapping]:
         if job.length > mapped.size:
             dropped.append(job.id)
             continue
-        kept.append(
-            Job(
-                id=job.id,
-                release=mapped.start,
-                due=mapped.end,
-                length=job.length,
-                demand=job.demand,
-                weight=job.weight,
-            )
-        )
+        kept.append(replace(job, release=mapped.start, due=mapped.end))
     transformed = Instance(hosts=instance.hosts, dim=instance.dim, jobs=tuple(kept))
     return transformed, LaminarMapping(by_job=by_job, untransformable=tuple(dropped))
 

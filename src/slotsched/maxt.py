@@ -878,17 +878,7 @@ def solve_utilization(instance: Instance, lam: Fraction = Fraction(1, 5)) -> Max
         raise ValueError(f"lambda must be in (0, 1/4), got {lam}")
     if not instance.jobs:
         return _empty_result("utilization")
-    weighted = instance.with_jobs(
-        Job(
-            id=j.id,
-            release=j.release,
-            due=j.due,
-            length=j.length,
-            demand=j.demand,
-            weight=area(j),
-        )
-        for j in instance.jobs
-    )
+    weighted = instance.with_jobs(replace(j, weight=area(j)) for j in instance.jobs)
     alpha = alpha_split(weighted.hosts, lam)
     short = [j for j in weighted.jobs if Fraction(j.length, j.window.size) <= lam]
     long_jobs = [j for j in weighted.jobs if Fraction(j.length, j.window.size) > lam]

@@ -680,7 +680,6 @@ class MinRResult:
     m_star: Fraction
     m_int: int
     m1: int
-    m2: int
     retries: int
     effective_c: Fraction
     fallback_ids: tuple[int, ...]
@@ -689,14 +688,13 @@ class MinRResult:
     residual_stats: ResidualAreaReport
     window_condition_met: int
     window_condition_total: int
-    window_threshold: int
 
     def to_json(self) -> dict:
         return {
             "hosts_used": self.hosts_used,
             "m_star": format_rational(self.m_star),
             "m1": self.m1,
-            "m2": self.m2,
+            "m2": self.m_int,
             "retries": self.retries,
             "effective_c": format_rational(self.effective_c),
             "fallbacks": list(self.fallback_ids),
@@ -706,7 +704,7 @@ class MinRResult:
             "window_condition": {
                 "met": self.window_condition_met,
                 "total": self.window_condition_total,
-                "threshold": self.window_threshold,
+                "threshold": self.residual_stats.threshold,
             },
             "schedule": schedule_to_json(self.schedule),
         }
@@ -772,7 +770,6 @@ def solve_minr(
             m_star=lpsol.m_star,
             m_int=m_int,
             m1=m1,
-            m2=m_int,
             retries=attempt,
             effective_c=c_eff,
             fallback_ids=tuple(r.job_id for r in fallback),
@@ -781,7 +778,6 @@ def solve_minr(
             residual_stats=stats,
             window_condition_met=sum(j.window.size >= stats.threshold for j in instance.jobs),
             window_condition_total=len(instance.jobs),
-            window_threshold=stats.threshold,
         )
     raise MinRError(
         f"residual scheduling failed {attempts} attempts "

@@ -19,19 +19,18 @@ Duals are Lagrange multipliers for the rows as written: for a maximization,
 a binding <= row has a nonnegative dual and a binding >= row a nonpositive
 one; for a minimization the signs flip.
 
-Rows enter the tableau one way only.  Each row is expressed in the current
-basis: where the current point satisfies it, its slack becomes basic; where
-it does not, an artificial takes up the violation, and a phase 1 over the
-new artificials alone restores feasibility before phase 2 runs.  An
-inequality row's artificial column is dropped once it is fixed out of the
-basis; its slack keeps standing for the row.  A cold solve starts from a
-tableau of structural columns and no rows, every variable at its lower
-bound, and takes in every row this way.  Columns and rows can both be
-appended to a solved program, and the next solve resumes from the previous
-basis: a new column enters nonbasic at its lower bound, so the basis stays
-feasible, and new rows come in as above.  Bland's rule holds throughout, so
-termination is unchanged.  This is what makes column generation, and
-row-and-column generation, affordable.
+Columns and rows each enter the tableau one way only.  A column enters
+nonbasic at its lower bound, written in the current basis, so no basic
+value moves.  A row is expressed in the current basis: where the current
+point satisfies it, its slack becomes basic; where it does not, an
+artificial takes up the violation, and a phase 1 over the new artificials
+alone restores feasibility before phase 2 runs.  An inequality row's
+artificial column is dropped once it is fixed out of the basis; its slack
+keeps standing for the row.  A first solve takes in every column, then
+every row, into an empty tableau; the next solve of the same program takes
+in only the columns and rows appended since and resumes from the previous
+basis.  Bland's rule holds throughout, so termination is unchanged.  This
+is what makes column generation, and row-and-column generation, affordable.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ class LinearProgram:
         # rows: (coeffs dict var->Fraction, rel, rhs)
         self.rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
         self._tableau: "_Tableau | None" = None
-        self._pending_cols: list[int] = []
 
     @property
     def n_vars(self) -> int:
@@ -113,63 +111,48 @@ class LinearProgram:
             if not 0 <= var < self.n_vars:
                 raise ValueError(f"row references unknown variable {var}")
         self.rows.append(({v: Fraction(c) for v, c in coeffs.items()}, rel, Fraction(rhs)))
-        # a solved program keeps its tableau: the next solve() absorbs every
-        # row past the tableau's last one
         return len(self.rows) - 1
 
     def add_column(self, objective, entries: dict[int, Fraction], lo=0, hi=None) -> int:
         """Append a variable given its column: entries map row index -> coeff.
-
-        The previous optimal basis stays feasible (the new variable enters
-        nonbasic at its lower bound), so a following solve() warm-starts.
-        Entries may name rows added since the last solve.
-        """
+        Entries may name rows added since the last solve."""
         for row in entries:
             if not 0 <= row < self.n_rows:
                 raise ValueError(f"column references unknown row {row}")
         var = self.add_variable(objective, lo=lo, hi=hi)
         for row, coeff in entries.items():
             self.rows[row][0][var] = Fraction(coeff)
-        self._pending_cols.append(var)
         return var
 
-    def row_activity(self, x: tuple[Fraction, ...], row: int) -> Fraction:
-        coeffs, _, _ = self.rows[row]
-        return sum((c * x[v] for v, c in coeffs.items() if x[v]), Fraction(0))
 
-
-def solve(lp: LinearProgram, warm: bool = True) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve to proven optimality (or infeasible/unbounded), exactly.
 
-    With warm=True a program solved before resumes from its last basis,
-    absorbing the columns added since.  warm=False, or a pending column with
-    a nonzero lower bound, starts from a tableau with no rows.  Either way
-    every row the tableau does not hold yet is absorbed next."""
-    tab = lp._tableau if warm else None
-    if tab is not None and any(lp.lo[v] != 0 for v in lp._pending_cols):
-        tab = None
-    if tab is None:
-        tab = _Tableau(lp)
-    else:
-        for var in sorted(lp._pending_cols):
-            tab.absorb_column(lp, var)
+    A program solved before resumes from its last basis.  Every variable the
+    tableau does not hold yet is absorbed as a column, then every row it does
+    not hold yet.  A new variable with a nonzero lower bound, or a program
+    with no tableau, starts from an empty tableau instead."""
+    tab = lp._tableau
+    if tab is None or any(lp.lo[v] for v in range(tab.nstruct, lp.n_vars)):
+        tab = _Tableau(lp.sense)
+    for var in range(tab.nstruct, lp.n_vars):
+        tab.absorb_column(lp, var)
     arts = []
     for i in range(len(tab.basis), lp.n_rows):
         art = tab.absorb_row(lp, i)
         if art is not None:
             arts.append(art)
-    lp._pending_cols.clear()
     if tab.phase1(arts) == "infeasible":
         lp._tableau = None
         return LpSolution("infeasible", None, None, None)
-    tab.drop_dead_artificials(lp.n_vars)
+    tab.drop_dead_artificials()
     if tab.phase2() == "unbounded":
         lp._tableau = None
         return LpSolution("unbounded", None, None, None)
     lp._tableau = tab
     x = tab.primal_values(lp)
     duals = tab.dual_values()
-    tab.drop_dead_artificials(lp.n_vars)  # those phase 2 took out of the basis
+    tab.drop_dead_artificials()  # those phase 2 took out of the basis
     obj = sum((c * v for c, v in zip(lp.obj, x) if c and v), _ZERO)
     return LpSolution("optimal", tuple(x), tuple(duals), obj)
 
@@ -219,30 +202,29 @@ class _Tableau:
     z-row is zrow / zden under the same rules, with no rhs.  Costs are
     Fractions.
 
-    Columns: structural variables (shifted to lower bound 0), then per row,
-    in row order, its slack (inequality rows) and its artificial (where the
-    slack could not start basic, and always for an equality row).  Each row
-    keeps one witness (column, sign): its slack, or for an equality row its
-    artificial.  The witness columns embed B^-1, which is what dual
-    extraction and warm column absorption read.  Phase 1 fixes artificials
-    at 0.  An inequality row's artificial is +-1 times its slack column, so
-    once it is fixed nonbasic nothing reads it and its column is dropped;
-    an equality row's artificial, and one still basic at 0, stay.
+    Columns: the nstruct structural variables (shifted to lower bound 0),
+    then per row, in row order, its slack (inequality rows) and its
+    artificial (where the slack could not start basic, and always for an
+    equality row).  A new tableau holds no columns and no rows: absorb_column
+    and absorb_row write each one.  Each row keeps one witness (column,
+    sign): its slack, or for an equality row its artificial.  The witness
+    columns embed B^-1, which is what dual extraction and column absorption
+    read.  Phase 1 fixes artificials at 0.  An inequality row's artificial
+    is +-1 times its slack column, so once it is fixed nonbasic nothing
+    reads it and its column is dropped; an equality row's artificial, and
+    one still basic at 0, stay.
 
     The tableau keeps no reference to its program (methods that read it take
     it as an argument), so a program and its cached tableau form no cycle.
     """
 
-    def __init__(self, lp: LinearProgram):
-        self.sign = 1 if lp.sense == "max" else -1
-        # structural columns, shifted: x = x' + lo, x' in [0, hi-lo]
-        self.ncols = lp.n_vars
-        self.ubound: list[tuple[int, int] | None] = [
-            None if hi is None else _pair(hi - lo) for lo, hi in zip(lp.lo, lp.hi)
-        ]
-        self.cost: list[Fraction] = lp.obj[:] if self.sign == 1 else [-c for c in lp.obj]
-        self.status = [FIXED if ub == _NO_SPAN else LOWER for ub in self.ubound]
-        # no rows yet: absorb_row writes each one
+    def __init__(self, sense: str):
+        self.sign = 1 if sense == "max" else -1
+        self.nstruct = 0
+        self.ncols = 0
+        self.ubound: list[tuple[int, int] | None] = []
+        self.cost: list[Fraction] = []
+        self.status: list[int] = []
         self.tab: list[list[int]] = []
         self.rhs: list[int] = []
         self.den: list[int] = []
@@ -262,8 +244,8 @@ class _Tableau:
         self.ncols += 1
         return self.ncols - 1
 
-    def drop_dead_artificials(self, nstruct: int) -> None:
-        """Delete every column past the `nstruct` structurals that is fixed
+    def drop_dead_artificials(self) -> None:
+        """Delete every column past the structurals that is fixed
         nonbasic and no row's witness: the artificials of inequality rows
         that phase 1 fixed or a later pivot took out of the basis.  Slacks
         are never fixed, and an equality row's artificial is its witness.
@@ -271,7 +253,7 @@ class _Tableau:
         sequence.  The z-row is rebuilt by the next phase."""
         witnesses = {col for col, _ in self.witness}
         status = self.status
-        cols = [j for j in range(nstruct, self.ncols) if status[j] == FIXED and j not in witnesses]
+        cols = [j for j in range(self.nstruct, self.ncols) if status[j] == FIXED and j not in witnesses]
         if not cols:
             return
         for col in reversed(cols):
@@ -425,12 +407,12 @@ class _Tableau:
         self.status[enter] = BASIC
         self.basis[r] = enter
 
-    # -- extraction, warm columns and warm rows ------------------------------
+    # -- extraction, and absorbing columns and rows ---------------------------
 
     def primal_values(self, lp: LinearProgram) -> list[Fraction]:
-        x = [Fraction(*self.ubound[j]) if st == UPPER else _ZERO for j, st in enumerate(self.status[: lp.n_vars])]
+        x = [Fraction(*self.ubound[j]) if st == UPPER else _ZERO for j, st in enumerate(self.status[: self.nstruct])]
         for i, b in enumerate(self.basis):
-            if b < lp.n_vars:
+            if b < self.nstruct:
                 x[b] = Fraction(self.rhs[i], self.den[i])
         return [v + lo if lo else v for v, lo in zip(x, lp.lo)]
 
@@ -441,14 +423,19 @@ class _Tableau:
         return [Fraction(self.sign * s * self.zrow[col], self.zden) for col, s in self.witness]
 
     def absorb_column(self, lp: LinearProgram, var: int) -> None:
-        """Extend the tableau with a structural column of `lp` appended after
-        the last solve, nonbasic at its lower bound 0, so no rhs moves.  The
-        column takes tableau index `var`, keeping the structurals contiguous;
-        every slack and artificial shifts right by one.  The z-row is rebuilt
-        at the next phase2 call, so only the B^-1 A column needs computing."""
+        """Extend the tableau with variable `var` of `lp`, the next one it does
+        not hold, nonbasic at its lower bound, so no rhs moves.  A fresh
+        tableau holds no columns, so a cold solve writes every column this way.
+
+        The column takes tableau index `var` == nstruct, keeping the
+        structurals contiguous; every slack and artificial shifts right by
+        one.  Its bound span is hi - lo; a nonzero lo is taken only while the
+        tableau holds no rows, whose rhs would otherwise have to move.  The
+        z-row is rebuilt at the next phase, so only the B^-1 A column needs
+        computing."""
         lo, hi = lp.lo[var], lp.hi[var]
-        if lo != 0:
-            raise ValueError("warm-absorbed columns must have lo == 0")
+        if lo and self.basis:
+            raise ValueError("a column with a nonzero lower bound needs a tableau with no rows")
         # B^-1 e_i is embedded in row i's witness column, so the new column
         # is sum_i c_i * ws_i * (witness column of row i), with the c_i scaled
         # to integers k_i by the lcm of their denominators
@@ -474,10 +461,12 @@ class _Tableau:
                     rhs[r] *= up
                     den[r] *= up
             row.insert(var, num)
-        ub = None if hi is None else _pair(hi)
+        ub = None if hi is None else _pair(hi - lo)
         self.ubound.insert(var, ub)
-        self.cost.insert(var, self.sign * lp.obj[var])
+        cost = lp.obj[var]
+        self.cost.insert(var, cost if self.sign == 1 else -cost)
         self.status.insert(var, FIXED if ub == _NO_SPAN else LOWER)
+        self.nstruct += 1
         self.ncols += 1
         self.basis = [b + 1 if b >= var else b for b in self.basis]
         self.witness = [(c + 1, s) for c, s in self.witness]

@@ -7,6 +7,9 @@ hyperplanes drawn from the rows (taken as equalities) and the variable
 bounds, so enumerating the n-subsets and filtering by feasibility finds the
 exact optimum.  A subset holding both bounds of one variable is singular
 and skipped unsolved.  Exponential, fine as a test oracle for small programs.
+
+Also here: `rebuilt`, the cold reference for a warm solve, and the row
+activities the certificate checks read.
 """
 
 from __future__ import annotations
@@ -35,12 +38,27 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
     return [a[r][n] for r in range(n)]
 
 
+def rebuilt(lp: LinearProgram) -> LinearProgram:
+    """A fresh program with lp's variables and rows, built through the
+    public API, so its first solve starts from an empty tableau."""
+    fresh = LinearProgram(lp.sense)
+    for obj, lo, hi in zip(lp.obj, lp.lo, lp.hi):
+        fresh.add_variable(obj, lo=lo, hi=hi)
+    for coeffs, rel, rhs in lp.rows:
+        fresh.add_row(coeffs, rel, rhs)
+    return fresh
+
+
+def row_activity(lp: LinearProgram, x, row: int) -> Fraction:
+    return sum((c * x[v] for v, c in lp.rows[row][0].items()), Fraction(0))
+
+
 def _feasible(lp: LinearProgram, x: list[Fraction]) -> bool:
     for j in range(lp.n_vars):
         if x[j] < lp.lo[j] or (lp.hi[j] is not None and x[j] > lp.hi[j]):
             return False
-    for coeffs, rel, rhs in lp.rows:
-        act = sum((c * x[v] for v, c in coeffs.items()), Fraction(0))
+    for i, (_, rel, rhs) in enumerate(lp.rows):
+        act = row_activity(lp, x, i)
         if rel == "<=" and act > rhs:
             return False
         if rel == ">=" and act < rhs:
@@ -119,7 +137,7 @@ def check_certificates(lp: LinearProgram, sol) -> None:
     sense_flip = 1 if lp.sense == "max" else -1
     zb = Fraction(0)
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        act = lp.row_activity(x, i)
+        act = row_activity(lp, x, i)
         if rel == "<=":
             assert sense_flip * y[i] >= 0, f"row {i} dual sign"
         elif rel == ">=":

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from slotsched.laminar import (
     build_tree,
     forest_order,
-    is_laminar,
     map_window,
     transform_instance,
     window_forest,
@@ -27,11 +26,11 @@ def W(a, b):
 
 
 def test_is_laminar_cases():
-    assert is_laminar([W(1, 4), W(1, 2), W(3, 4)])
-    assert not is_laminar([W(1, 3), W(2, 4)])
+    assert window_forest([W(1, 4), W(1, 2), W(3, 4)]) is not None
+    assert window_forest([W(1, 3), W(2, 4)]) is None
     # duplicates are laminar
-    assert is_laminar([W(2, 2), W(2, 2)])
-    assert is_laminar([])
+    assert window_forest([W(2, 2), W(2, 2)]) is not None
+    assert window_forest([]) is not None
 
 
 def _pairwise_laminar(windows):
@@ -53,7 +52,7 @@ _tree_windows = st.lists(st.sampled_from(build_tree(12).windows()), max_size=10)
 def test_window_forest_matches_pairwise_check(windows):
     laminar = _pairwise_laminar(windows)
     parent = window_forest(windows)
-    assert (parent is not None) == laminar == is_laminar(windows)
+    assert (parent is not None) == laminar
     if parent is None:
         return
     assert set(parent) == set(windows)
@@ -91,7 +90,7 @@ def test_tree_t8_balanced():
     assert len(ws) == 15
     sizes = sorted(w.size for w in ws)
     assert sizes == [1] * 8 + [2] * 4 + [4] * 2 + [8]
-    assert is_laminar(ws)
+    assert window_forest(ws) is not None
 
 
 def test_tree_odd_horizon():
@@ -101,7 +100,7 @@ def test_tree_odd_horizon():
     assert (1, 5) in ws and (1, 3) in ws and (4, 5) in ws
     for t in range(1, 6):
         assert (t, t) in ws
-    assert is_laminar(tree.windows())
+    assert window_forest(tree.windows()) is not None
 
 
 def test_map_window_examples():
@@ -266,7 +265,7 @@ def test_transform_result_is_laminar_and_slackness_scales():
             )
         inst = Instance(hosts=2, dim=1, jobs=tuple(jobs))
         trans, mapping = transform_instance(inst)
-        assert is_laminar([j.window for j in trans.jobs])
+        assert window_forest([j.window for j in trans.jobs]) is not None
         for job in trans.jobs:
             orig, mapped = mapping.by_job[job.id]
             assert orig.contains(mapped)

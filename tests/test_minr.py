@@ -900,9 +900,9 @@ def test_solve_minr_completes_all_jobs():
             instance, res.schedule, require_all_complete=True, hosts=res.hosts_used
         )
         assert report.feasible, report.violations
-        assert res.hosts_used == res.m1 + res.m2 + len(res.fallback_ids)
+        assert res.hosts_used == res.m1 + res.m_int + len(res.fallback_ids)
         assert res.m1 == draw_count(Fraction(6), res.m_int, instance.dim)
-        assert res.m2 == res.m_int
+        assert res.to_json()["m2"] == res.m_int
         assert res.fallback_ids == ()
 
 
@@ -949,9 +949,9 @@ def test_solve_minr_window_condition_comes_from_the_report(monkeypatch):
     ])
     res = solve_minr(instance, MinRParams(theta=Fraction(2)), seed=0)
     assert len(calls) == 1
-    assert res.window_threshold == res.residual_stats.threshold == 11
+    assert res.to_json()["window_condition"]["threshold"] == res.residual_stats.threshold == 11
     assert res.window_condition_met == sum(
-        j.window.size >= res.window_threshold for j in instance.jobs
+        j.window.size >= res.residual_stats.threshold for j in instance.jobs
     ) == 1
     assert res.window_condition_total == 3
 
@@ -971,14 +971,14 @@ def test_solve_minr_fallback_assembly(monkeypatch):
     )
     res = solve_minr(instance, seed=0)
     assert res.fallback_ids == (1,)
-    assert res.hosts_used == res.m1 + res.m2 + 1
+    assert res.hosts_used == res.m1 + res.m_int + 1
     assert res.residual_count == 2
     report = validate(
         instance, res.schedule, require_all_complete=True, hosts=res.hosts_used
     )
     assert report.feasible, report.violations
     # the fallback host is the last one and serves only job 1
-    fallback_host = res.m1 + res.m2 + 1
+    fallback_host = res.m1 + res.m_int + 1
     spots = [hs for hs in res.schedule.placements[1] if hs[0] == fallback_host]
     assert len(spots) == 4
 

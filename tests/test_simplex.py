@@ -1,12 +1,13 @@
 """Exact simplex: hand cases, a classic cycling instance, duals, random
 cross-checks against vertex enumeration, warm-started column adds with
 fractional data (property-tested), warm-started row adds (property-tested on
-fractional bounds, with every bound move that rewrites a row's rhs), dropped
-artificial columns, and a digest that pins the pivot path."""
+fractional bounds, with every bound move that rewrites a row's rhs),
+variables added after a solve, dropped artificial columns, and a digest that
+pins the pivot path.  A warm solve's cold reference is the same program
+rebuilt from scratch."""
 
 from __future__ import annotations
 
-import copy
 import gc
 import hashlib
 import random
@@ -18,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _lpref import check_certificates, random_boxed_lp, vertex_optimum
+from _lpref import check_certificates, random_boxed_lp, rebuilt, row_activity, vertex_optimum
 from slotsched import simplex
-from slotsched.simplex import BASIC, UPPER, LinearProgram, solve
+from slotsched.simplex import BASIC, UPPER, LinearProgram, LpSolution, solve
 
 
 def test_max_single_variable():
@@ -131,7 +132,7 @@ def test_add_column_improves_and_matches_cold_solve():
     lp.add_column(objective=1, entries={0: Fraction(1), 1: Fraction(1)})
     warm = solve(lp)
     assert warm.objective == 2
-    cold = solve(lp, warm=False)
+    cold = solve(rebuilt(lp))
     assert cold.objective == warm.objective
     assert cold.x == warm.x
 
@@ -170,7 +171,7 @@ def test_add_column_sequence_objective_monotone():
         }
         lp.add_column(objective=Fraction(rng.randint(1, 4)), entries=entries)
         cur = solve(lp)
-        cold = solve(lp, warm=False)
+        cold = solve(rebuilt(lp))
         assert cur.objective == cold.objective
         assert cur.objective <= prev  # adding a column never hurts a min LP
         prev = cur.objective
@@ -197,8 +198,8 @@ def test_random_lps_match_vertex_enumeration():
 def test_solutions_deterministic():
     rng = random.Random(9)
     lps = [random_boxed_lp(rng) for _ in range(20)]
-    first = [solve(lp, warm=False) for lp in lps]
-    second = [solve(lp, warm=False) for lp in lps]
+    first = [solve(lp) for lp in lps]
+    second = [solve(rebuilt(lp)) for lp in lps]
     assert first == second
 
 
@@ -229,7 +230,7 @@ def _unique_optimum(lp: LinearProgram, sol) -> bool:
     for i, (_, rel, rhs) in enumerate(lp.rows):
         if rel == "==":
             active += 1
-        elif lp.row_activity(x, i) == rhs:
+        elif row_activity(lp, x, i) == rhs:
             if y[i] == 0:
                 return False
             active += 1
@@ -273,7 +274,7 @@ def test_warm_column_adds_with_fractional_data_match_cold_solves(sense, variable
     for obj, entries, hi in columns:
         lp.add_column(obj, {r % lp.n_rows: c for r, c in entries.items()}, lo=0, hi=hi)
         warm = solve(lp)
-        cold = solve(copy.deepcopy(lp), warm=False)  # leaves lp's basis for the next warm solve
+        cold = solve(rebuilt(lp))
         assert warm.status == cold.status
         if cold.status != "optimal":
             continue
@@ -295,12 +296,15 @@ def _random_row(rng, n_vars, rel):
 
 
 def _check_against_cold_and_oracle(lp, warm):
-    cold = solve(copy.deepcopy(lp), warm=False)  # leaves lp's basis for the next warm solve
-    status, value = vertex_optimum(lp)
-    assert warm.status == cold.status == status
-    if status == "optimal":
-        assert warm.objective == cold.objective == value
+    # the vertex oracle needs every variable boxed
+    cold = solve(rebuilt(lp))
+    assert (warm.status, warm.objective) == (cold.status, cold.objective)
+    if None not in lp.hi:
+        assert (warm.status, warm.objective) == vertex_optimum(lp)
+    if cold.optimal:
         check_certificates(lp, warm)
+        if _unique_optimum(lp, cold):
+            assert (warm.x, warm.duals) == (cold.x, cold.duals)
 
 
 def test_warm_rows_match_cold_solves_and_the_vertex_oracle():
@@ -386,6 +390,90 @@ def test_row_that_empties_the_program_reports_infeasible():
     lp.add_row({x: 1}, "==", Fraction(1, 2))
     assert solve(lp).status == "infeasible"
     assert lp._tableau is None  # the next solve starts cold
+
+
+# -- variables added after a solve ---------------------------------------------------
+
+
+def test_variable_added_after_a_solve_gets_its_own_column():
+    # y's coefficient in the new row must land on y, not on the slack of row 0
+    lp = LinearProgram("max")
+    x = lp.add_variable(1, hi=1)
+    lp.add_row({x: 1}, "<=", 5)
+    solve(lp)
+    tableau = lp._tableau
+    y = lp.add_variable(1, hi=2)
+    lp.add_row({y: 1}, "<=", 1)
+    warm = solve(lp)
+    assert lp._tableau is tableau  # resumed, not rebuilt
+    assert warm == LpSolution("optimal", (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)), Fraction(2))
+    assert warm == solve(rebuilt(lp))
+    assert vertex_optimum(lp) == ("optimal", 2)
+
+
+def test_variable_with_no_upper_bound_added_after_a_solve():
+    # max 2x + y, x <= 2, then y >= 0 unbounded above with x + y <= 3
+    lp = LinearProgram("max")
+    x = lp.add_variable(2, hi=3)
+    lp.add_row({x: 1}, "<=", 2)
+    assert solve(lp).objective == 4
+    y = lp.add_variable(1)
+    lp.add_row({x: 1, y: 1}, "<=", 3)
+    warm = solve(lp)
+    assert warm == LpSolution("optimal", (Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)), Fraction(5))
+    assert warm == solve(rebuilt(lp))
+
+
+def test_variable_with_a_nonzero_lower_bound_rebuilds_the_tableau():
+    # max x - 2z, x <= 3, then z in [1, 3] with x - z <= 1: optimum x = 2, z = 1
+    lp = LinearProgram("max")
+    x = lp.add_variable(1, hi=4)
+    lp.add_row({x: 1}, "<=", 3)
+    solve(lp)
+    tableau = lp._tableau
+    z = lp.add_variable(-2, lo=1, hi=3)
+    lp.add_row({x: 1, z: -1}, "<=", 1)
+    warm = solve(lp)
+    assert lp._tableau is not tableau
+    assert warm == LpSolution("optimal", (Fraction(2), Fraction(1)), (Fraction(0), Fraction(1)), Fraction(0))
+    assert warm == solve(rebuilt(lp))
+    assert vertex_optimum(lp) == ("optimal", 0)
+
+
+_new_var = st.tuples(
+    _rationals,
+    st.sampled_from([0, 0, Fraction(-3, 2), 2]),
+    st.one_of(st.none(), _positive),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    sense=st.sampled_from(["max", "min"]),
+    variables=st.lists(_var, min_size=1, max_size=2),
+    rows=st.lists(_row, min_size=1, max_size=2),
+    new_vars=st.lists(_new_var, min_size=1, max_size=2),
+    new_rows=st.lists(_row, min_size=1, max_size=2),
+)
+def test_variables_added_after_a_solve_match_rebuilt_solves(sense, variables, rows, new_vars, new_rows):
+    # new rows name old and new variables alike; a new nonzero lower bound
+    # rebuilds the tableau, anything else resumes from the last basis
+    lp = LinearProgram(sense)
+    for obj, lo, span in variables:
+        lp.add_variable(objective=obj, lo=lo, hi=lo + span)
+    for coeffs, rel, rhs in rows:
+        lp.add_row({v % lp.n_vars: c for v, c in coeffs.items()}, rel, rhs)
+    if not solve(lp).optimal:
+        return
+    tableau = lp._tableau
+    for obj, lo, span in new_vars:
+        lp.add_variable(objective=obj, lo=lo, hi=None if span is None else lo + span)
+    for coeffs, rel, rhs in new_rows:
+        lp.add_row({(v + len(variables)) % lp.n_vars: c for v, c in coeffs.items()}, rel, rhs)
+    warm = solve(lp)
+    if warm.optimal:
+        assert (lp._tableau is tableau) == all(lo == 0 for _, lo, _ in new_vars)
+    _check_against_cold_and_oracle(lp, warm)
 
 
 # -- bound moves on fractional bounds, and dropped artificials ----------------------
