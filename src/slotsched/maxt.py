@@ -763,6 +763,8 @@ def solve_maxt_laminar(
         return _lp_round_pack(
             instance, omega_single(m, lam), "pairing", "laminar-single", forest
         )
+    if lam >= 1:
+        raise ValueError(f"lambda {lam} >= 1; the split variant needs lambda < 1")
 
     alpha = alpha_split(m, lam)
     small = [j for j in instance.jobs if j.height <= alpha]

@@ -309,7 +309,7 @@ def sample_configurations(
     the first prefix sum P with k * M < P * 2^53: an exact integer bisection.
     """
     m_star = lpsol.m_star
-    scale = math.lcm(m_star.denominator, *(x.denominator for _, x in lpsol.columns))
+    scale = math.lcm(m_star.denominator, *[x.denominator for _, x in lpsol.columns])
     total = m_star.numerator * (scale // m_star.denominator)
     by_slot: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
     for c, x in lpsol.columns:

@@ -6,14 +6,14 @@ Bland's smallest-index rule throughout, which trades speed for guaranteed
 termination; at the problem sizes this package deals in, that trade is free.
 
 The tableau is fraction-free.  Each row is a list of Python ints over one
-positive denominator of its own, and carries its basic variable's value as
-one more int over that denominator, so a pivot is integer multiply-subtract
-on the rows that have a nonzero in the entering column, followed by one gcd
-per such row; the other rows are not touched.  A nonbasic variable moving
-between its bounds adds a multiple of its column to those values in the
-same way.  Bound spans are int pairs.  Costs are `fractions.Fraction`s, as
-is everything the public API returns.  The package needs nothing outside
-the standard library.
+positive denominator of its own, its entry in its basic column, and carries
+its basic variable's value as one more int over that denominator, so a
+pivot is integer multiply-subtract on the rows that have a nonzero in the
+entering column, followed by one gcd per such row; the other rows are not
+touched.  A nonbasic variable moving between its bounds adds a multiple of
+its column to those values in the same way.  Bound spans are int pairs.
+Costs are `fractions.Fraction`s, as is everything the public API returns.
+The package needs nothing outside the standard library.
 
 Duals are Lagrange multipliers for the rows as written: for a maximization,
 a binding <= row has a nonnegative dual and a binding >= row a nonpositive
@@ -21,16 +21,18 @@ one; for a minimization the signs flip.
 
 Columns and rows each enter the tableau one way only.  A column enters
 nonbasic at its lower bound, written in the current basis, so no basic
-value moves.  A row is expressed in the current basis: where the current
-point satisfies it, its slack becomes basic; where it does not, an
-artificial takes up the violation, and a phase 1 over the new artificials
-alone restores feasibility before phase 2 runs.  An inequality row's
-artificial column is dropped once it is fixed out of the basis; its slack
-keeps standing for the row.  A first solve takes in every column, then
-every row, into an empty tableau; the next solve of the same program takes
-in only the columns and rows appended since and resumes from the previous
-basis.  Bland's rule holds throughout, so termination is unchanged.  This
-is what makes column generation, and row-and-column generation, affordable.
+value moves: only `add_column` gives a variable a coefficient in a row the
+tableau already holds, and its variables start at 0.  A row is expressed in
+the current basis: where the current point satisfies it, its slack becomes
+basic; where it does not, an artificial takes up the violation, and a phase
+1 over the new artificials alone restores feasibility before phase 2 runs.
+An inequality row's artificial column is dropped once it is fixed out of
+the basis; its slack keeps standing for the row.  A first solve takes in
+every column, then every row, into an empty tableau; every later solve of
+the same program takes in only the columns and rows appended since and
+resumes from the previous basis.  Bland's rule holds throughout, so
+termination is unchanged.  This is what makes column generation, and
+row-and-column generation, affordable.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ _PIVOT_LIMIT = 1_000_000  # pivots per phase of one solve; a guard, since Bland'
 LOWER, UPPER, BASIC, FIXED = 0, 1, 2, 3
 
 _REL = ("<=", ">=", "==")
-
-
-def _pair(q: Fraction) -> tuple[int, int]:
-    return q.numerator, q.denominator
 
 
 class CyclingLimitError(RuntimeError):
@@ -113,13 +111,13 @@ class LinearProgram:
         self.rows.append(({v: Fraction(c) for v, c in coeffs.items()}, rel, Fraction(rhs)))
         return len(self.rows) - 1
 
-    def add_column(self, objective, entries: dict[int, Fraction], lo=0, hi=None) -> int:
-        """Append a variable given its column: entries map row index -> coeff.
-        Entries may name rows added since the last solve."""
+    def add_column(self, objective, entries: dict[int, Fraction], hi=None) -> int:
+        """Append a variable with bounds [0, hi] given its column: entries map
+        row index -> coeff.  Entries may name rows added since the last solve."""
         for row in entries:
             if not 0 <= row < self.n_rows:
                 raise ValueError(f"column references unknown row {row}")
-        var = self.add_variable(objective, lo=lo, hi=hi)
+        var = self.add_variable(objective, hi=hi)
         for row, coeff in entries.items():
             self.rows[row][0][var] = Fraction(coeff)
         return var
@@ -128,13 +126,10 @@ class LinearProgram:
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve to proven optimality (or infeasible/unbounded), exactly.
 
-    A program solved before resumes from its last basis.  Every variable the
-    tableau does not hold yet is absorbed as a column, then every row it does
-    not hold yet.  A new variable with a nonzero lower bound, or a program
-    with no tableau, starts from an empty tableau instead."""
-    tab = lp._tableau
-    if tab is None or any(lp.lo[v] for v in range(tab.nstruct, lp.n_vars)):
-        tab = _Tableau(lp.sense)
+    A program solved before resumes from its last basis, any other from an
+    empty tableau.  Every variable the tableau does not hold yet is absorbed
+    as a column, then every row it does not hold yet."""
+    tab = lp._tableau or _Tableau(lp.sense)
     for var in range(tab.nstruct, lp.n_vars):
         tab.absorb_column(lp, var)
     arts = []
@@ -191,11 +186,11 @@ def _eliminate(
 class _Tableau:
     """Bounded-variable simplex state on integer rows.
 
-    Row i stands for the rational row (tab[i] | rhs[i]) / den[i]: tab[i] is
-    a list of ints, rhs[i] an int and den[i] a positive int, kept in lowest
-    terms (gcd(den[i], rhs[i], *tab[i]) == 1), so the row's basic column
-    holds tab[i][basis[i]] == den[i] and its basic variable's value is
-    rhs[i] / den[i].  Every nonbasic variable sits at a bound, 0 or its span
+    Row i stands for the rational row (tab[i] | rhs[i]) / tab[i][basis[i]]:
+    tab[i] is a list of ints and rhs[i] an int, kept in lowest terms
+    (gcd(rhs[i], *tab[i]) == 1), and the row's entry in its basic column is
+    its positive denominator, so the basic variable's value is rhs[i] /
+    tab[i][basis[i]].  Every nonbasic variable sits at a bound, 0 or its span
     ubound (an int pair (num, den), or None for no upper bound), and the rhs
     already accounts for those at their upper bound: moving a nonbasic
     variable between bounds, or making it basic, goes through _shift.  The
@@ -221,13 +216,11 @@ class _Tableau:
     def __init__(self, sense: str):
         self.sign = 1 if sense == "max" else -1
         self.nstruct = 0
-        self.ncols = 0
         self.ubound: list[tuple[int, int] | None] = []
         self.cost: list[Fraction] = []
         self.status: list[int] = []
         self.tab: list[list[int]] = []
         self.rhs: list[int] = []
-        self.den: list[int] = []
         self.basis: list[int] = []
         self.witness: list[tuple[int, int]] = []  # per row: (column, sign)
         self.zrow: list[int] = []
@@ -241,8 +234,7 @@ class _Tableau:
         self.status.append(LOWER)
         for row in self.tab:
             row.append(0)
-        self.ncols += 1
-        return self.ncols - 1
+        return len(self.status) - 1
 
     def drop_dead_artificials(self) -> None:
         """Delete every column past the structurals that is fixed
@@ -253,24 +245,24 @@ class _Tableau:
         sequence.  The z-row is rebuilt by the next phase."""
         witnesses = {col for col, _ in self.witness}
         status = self.status
-        cols = [j for j in range(self.nstruct, self.ncols) if status[j] == FIXED and j not in witnesses]
+        cols = [j for j in range(self.nstruct, len(status)) if status[j] == FIXED and j not in witnesses]
         if not cols:
             return
         for col in reversed(cols):
             for row in self.tab:
                 del row[col]
             del self.ubound[col], self.cost[col], self.status[col]
-        self.ncols -= len(cols)
         self.basis = [b - bisect_left(cols, b) for b in self.basis]
         self.witness = [(c - bisect_left(cols, c), s) for c, s in self.witness]
 
     # -- phases ------------------------------------------------------------
 
     def _reset_zrow(self, costs: list[Fraction]) -> None:
-        """z_j = sum_i c_B(i) * tab[i][j] / den[i] - c_j over one common
-        denominator: the lcm of the costs' and the weights' denominators."""
-        weights = [(i, costs[b] / self.den[i]) for i, b in enumerate(self.basis) if costs[b]]
-        zden = math.lcm(*(c.denominator for c in costs), *(w.denominator for _, w in weights))
+        """z_j = sum_i c_B(i) * tab[i][j] / tab[i][basis[i]] - c_j over one
+        common denominator: the lcm of the costs' and the weights'
+        denominators."""
+        weights = [(i, costs[b] / self.tab[i][b]) for i, b in enumerate(self.basis) if costs[b]]
+        zden = math.lcm(*[c.denominator for c in costs], *[w.denominator for _, w in weights])
         zrow = [-c.numerator * (zden // c.denominator) for c in costs]
         for i, w in weights:
             k = w.numerator * (zden // w.denominator)
@@ -282,7 +274,7 @@ class _Tableau:
         Artificials of earlier solves are fixed at zero already."""
         if not arts:
             return "feasible"
-        costs = [_ZERO] * self.ncols
+        costs = [_ZERO] * len(self.status)
         for col in arts:
             costs[col] = Fraction(-1)
         self._reset_zrow(costs)
@@ -305,14 +297,13 @@ class _Tableau:
     # -- core pivoting -----------------------------------------------------
 
     def _iterate(self) -> str:
-        tab, rhs, den = self.tab, self.rhs, self.den
+        tab, rhs = self.tab, self.rhs
         basis, ubound, status = self.basis, self.ubound, self.status
         for _ in range(_PIVOT_LIMIT):
             zrow = self.zrow
             enter = -1
             direction = 1
-            for j in range(self.ncols):
-                st = status[j]
+            for j, st in enumerate(status):
                 if st == LOWER and zrow[j] < 0:
                     enter, direction = j, 1
                     break
@@ -322,11 +313,11 @@ class _Tableau:
             if enter < 0:
                 return "optimal"
             # ratio test: largest step t >= 0 along the improving direction;
-            # start from the entering variable's own bound span.  Row i's
-            # entry is g / den[i] and its value rhs[i] / den[i], so its cap
-            # is rhs[i] / g down to 0, or (ub * den[i] - rhs[i]) / -g up to
-            # a span ub; caps are int pairs (num, positive den) compared by
-            # cross-multiplying.
+            # start from the entering variable's own bound span.  Over row
+            # i's denominator d = tab[i][basis[i]], its entry is g / d and
+            # its value rhs[i] / d, so its cap is rhs[i] / g down to 0, or
+            # (ub * d - rhs[i]) / -g up to a span ub; caps are int pairs
+            # (num, positive den) compared by cross-multiplying.
             limit = ubound[enter]
             leave_row = -1
             leave_to = LOWER
@@ -336,10 +327,11 @@ class _Tableau:
                     cap = (rhs[i], g)
                     to = LOWER
                 elif g < 0:
-                    ub = ubound[basis[i]]
+                    b = basis[i]
+                    ub = ubound[b]
                     if ub is None:
                         continue
-                    cap = (ub[0] * den[i] - rhs[i] * ub[1], -g * ub[1])
+                    cap = (ub[0] * tab[i][b] - rhs[i] * ub[1], -g * ub[1])
                     to = UPPER
                 else:
                     continue
@@ -367,7 +359,7 @@ class _Tableau:
         """Raise nonbasic column col's value by qn/qd (qd > 0): each row's
         basic value falls by qn/qd times its entry in col.  A row is
         rescaled only where qd does not divide that entry's numerator."""
-        tab, rhs, den = self.tab, self.rhs, self.den
+        tab, rhs, basis = self.tab, self.rhs, self.basis
         for i, row in enumerate(tab):
             a = row[col]
             if not a:
@@ -376,8 +368,7 @@ class _Tableau:
             if up != 1:
                 row = [b * up for b in row]
                 rhs[i] *= up
-                den[i] *= up
-            tab[i], rhs[i], den[i] = _lowest_terms(row, rhs[i] - qn * (a * up // qd), den[i])
+            tab[i], rhs[i], _ = _lowest_terms(row, rhs[i] - qn * (a * up // qd), row[basis[i]])
 
     def _pivot(self, r: int, enter: int, leave_to: int) -> None:
         leaving = self.basis[r]
@@ -390,17 +381,18 @@ class _Tableau:
         ub = self.ubound[leaving]
         if leave_to == UPPER and ub[0]:
             self._shift(leaving, *ub)  # its column is row r's unit column
-        # row r over its pivot entry: the den[r] cancels
-        prow, prhs, pden = self.tab[r], self.rhs[r], self.tab[r][enter]
+        # row r over its pivot entry: its old denominator cancels
+        tab, rhs, basis = self.tab, self.rhs, self.basis
+        prow, prhs, pden = tab[r], rhs[r], tab[r][enter]
         if pden < 0:
             prow, prhs, pden = [-a for a in prow], -prhs, -pden
         prow, prhs, pden = _lowest_terms(prow, prhs, pden)
-        tab, rhs, den = self.tab, self.rhs, self.den
-        tab[r], rhs[r], den[r] = prow, prhs, pden
+        tab[r], rhs[r] = prow, prhs
         nonzeros = [(j, b) for j, b in enumerate(prow) if b]
         for i in range(len(tab)):
             if i != r and tab[i][enter]:
-                tab[i], rhs[i], den[i] = _eliminate(tab[i], rhs[i], den[i], nonzeros, prhs, pden, enter)
+                row = tab[i]
+                tab[i], rhs[i], _ = _eliminate(row, rhs[i], row[basis[i]], nonzeros, prhs, pden, enter)
         if self.zrow[enter]:
             self.zrow, _, self.zden = _eliminate(self.zrow, 0, self.zden, nonzeros, 0, pden, enter)
         self.status[leaving] = FIXED if ub == _NO_SPAN else leave_to
@@ -413,7 +405,7 @@ class _Tableau:
         x = [Fraction(*self.ubound[j]) if st == UPPER else _ZERO for j, st in enumerate(self.status[: self.nstruct])]
         for i, b in enumerate(self.basis):
             if b < self.nstruct:
-                x[b] = Fraction(self.rhs[i], self.den[i])
+                x[b] = Fraction(self.rhs[i], self.tab[i][b])
         return [v + lo if lo else v for v, lo in zip(x, lp.lo)]
 
     def dual_values(self) -> list[Fraction]:
@@ -424,18 +416,17 @@ class _Tableau:
 
     def absorb_column(self, lp: LinearProgram, var: int) -> None:
         """Extend the tableau with variable `var` of `lp`, the next one it does
-        not hold, nonbasic at its lower bound, so no rhs moves.  A fresh
-        tableau holds no columns, so a cold solve writes every column this way.
+        not hold, nonbasic at its lower bound, so no rhs moves: only
+        add_column gives a variable a coefficient in a row the tableau holds,
+        and its variables start at 0.  A fresh tableau holds no columns, so a
+        cold solve writes every column this way, and a resumed one every
+        variable added since.
 
         The column takes tableau index `var` == nstruct, keeping the
         structurals contiguous; every slack and artificial shifts right by
-        one.  Its bound span is hi - lo; a nonzero lo is taken only while the
-        tableau holds no rows, whose rhs would otherwise have to move.  The
-        z-row is rebuilt at the next phase, so only the B^-1 A column needs
-        computing."""
+        one.  Its bound span is hi - lo.  The z-row is rebuilt at the next
+        phase, so only the B^-1 A column needs computing."""
         lo, hi = lp.lo[var], lp.hi[var]
-        if lo and self.basis:
-            raise ValueError("a column with a nonzero lower bound needs a tableau with no rows")
         # B^-1 e_i is embedded in row i's witness column, so the new column
         # is sum_i c_i * ws_i * (witness column of row i), with the c_i scaled
         # to integers k_i by the lcm of their denominators
@@ -443,31 +434,29 @@ class _Tableau:
         for i, (wcol, ws) in enumerate(self.witness):  # rows still pending read the column when absorbed
             c = lp.rows[i][0].get(var)
             if c:
-                terms.append((wcol, ws * c))
+                terms.append((wcol, c if ws > 0 else -c))
         scale = math.lcm(*[c.denominator for _, c in terms])
         ints = [(wcol, c.numerator * (scale // c.denominator)) for wcol, c in terms]
-        tab, rhs, den = self.tab, self.rhs, self.den
+        tab, rhs = self.tab, self.rhs
         for r, row in enumerate(tab):
             num = 0
             for wcol, k in ints:
                 num += k * row[wcol]
             if num:
-                # the entry is num / (den[r] * scale); rescale the row where
-                # the reduced fraction needs a larger denominator
+                # the entry is num / (d * scale) over the row's denominator
+                # d; rescale the row where the reduced fraction needs a larger d
                 g = math.gcd(num, scale)
                 num, up = num // g, scale // g
                 if up != 1:
                     tab[r] = row = [a * up for a in row]
                     rhs[r] *= up
-                    den[r] *= up
             row.insert(var, num)
-        ub = None if hi is None else _pair(hi - lo)
+        ub = None if hi is None else (hi - lo).as_integer_ratio()
         self.ubound.insert(var, ub)
         cost = lp.obj[var]
         self.cost.insert(var, cost if self.sign == 1 else -cost)
         self.status.insert(var, FIXED if ub == _NO_SPAN else LOWER)
         self.nstruct += 1
-        self.ncols += 1
         self.basis = [b + 1 if b >= var else b for b in self.basis]
         self.witness = [(c + 1, s) for c, s in self.witness]
 
@@ -491,17 +480,16 @@ class _Tableau:
         rest = b - sum((c * lp.lo[v] for v, c in coeffs.items() if lp.lo[v]), _ZERO)
         rest -= sum((c * Fraction(*ubound[v]) for v, c in coeffs.items() if status[v] == UPPER), _ZERO)
         den = math.lcm(rest.denominator, *[c.denominator for c in coeffs.values()])
-        row = [0] * self.ncols
+        row = [0] * len(status)
         for v, c in coeffs.items():
             row[v] = c.numerator * (den // c.denominator)
         rhs = rest.numerator * (den // rest.denominator)
         for k, col in enumerate(self.basis):
             if row[col]:
                 nonzeros = [(j, a) for j, a in enumerate(self.tab[k]) if a]
-                row, rhs, den = _eliminate(row, rhs, den, nonzeros, self.rhs[k], self.den[k], col)
+                row, rhs, den = _eliminate(row, rhs, den, nonzeros, self.rhs[k], self.tab[k][col], col)
         self.tab.append(row)
         self.rhs.append(rhs)
-        self.den.append(den)
         # (column, sign) of the slack, then of the artificial if needed
         sign = 0 if rel == "==" else 1 if rel == "<=" else -1
         cols = [(self._new_col(), sign)] if sign else []

@@ -1086,6 +1086,14 @@ def test_laminar_single_rejects_excess_slackness():
         solve_maxt_laminar(inst([j], hosts=2), variant="single")
 
 
+def test_laminar_split_rejects_slackness_one():
+    # p = |window| gives slackness 1 and alpha_split 0; the error names lambda,
+    # not the height-class delta that alpha would have become
+    j = mk(1, 1, 2, 2, Fraction(1, 2), weight=1)
+    with pytest.raises(ValueError, match="lambda 1 >= 1"):
+        solve_maxt_laminar(inst([j]), variant="split")
+
+
 def test_laminar_single_rejects_nonlaminar():
     a = mk(1, 1, 3, 1, 1, weight=1)
     b = mk(2, 2, 4, 1, 1, weight=1)

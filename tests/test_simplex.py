@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import math
 import random
 import weakref
 from collections import Counter
@@ -272,7 +273,7 @@ def test_warm_column_adds_with_fractional_data_match_cold_solves(sense, variable
         lp.add_row({v % lp.n_vars: c for v, c in coeffs.items()}, rel, rhs)
     solve(lp)
     for obj, entries, hi in columns:
-        lp.add_column(obj, {r % lp.n_rows: c for r, c in entries.items()}, lo=0, hi=hi)
+        lp.add_column(obj, {r % lp.n_rows: c for r, c in entries.items()}, hi=hi)
         warm = solve(lp)
         cold = solve(rebuilt(lp))
         assert warm.status == cold.status
@@ -348,7 +349,7 @@ def test_rows_and_columns_interleave_warm():
                 else:
                     entries = {r: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for r in range(lp.n_rows)
                                if rng.random() < 0.6}
-                    lp.add_column(Fraction(rng.randint(-3, 3)), entries, lo=0, hi=Fraction(rng.randint(1, 4)))
+                    lp.add_column(Fraction(rng.randint(-3, 3)), entries, hi=Fraction(rng.randint(1, 4)))
             warm = solve(lp)
             _check_against_cold_and_oracle(lp, warm)
             if not warm.optimal:
@@ -424,8 +425,9 @@ def test_variable_with_no_upper_bound_added_after_a_solve():
     assert warm == solve(rebuilt(lp))
 
 
-def test_variable_with_a_nonzero_lower_bound_rebuilds_the_tableau():
-    # max x - 2z, x <= 3, then z in [1, 3] with x - z <= 1: optimum x = 2, z = 1
+def test_variable_with_a_nonzero_lower_bound_resumes_the_tableau():
+    # max x - 2z, x <= 3, then z in [1, 3] with x - z <= 1: optimum x = 2, z = 1;
+    # z has no entry in a row solved before, so its column enters all zeros
     lp = LinearProgram("max")
     x = lp.add_variable(1, hi=4)
     lp.add_row({x: 1}, "<=", 3)
@@ -434,7 +436,7 @@ def test_variable_with_a_nonzero_lower_bound_rebuilds_the_tableau():
     z = lp.add_variable(-2, lo=1, hi=3)
     lp.add_row({x: 1, z: -1}, "<=", 1)
     warm = solve(lp)
-    assert lp._tableau is not tableau
+    assert lp._tableau is tableau
     assert warm == LpSolution("optimal", (Fraction(2), Fraction(1)), (Fraction(0), Fraction(1)), Fraction(0))
     assert warm == solve(rebuilt(lp))
     assert vertex_optimum(lp) == ("optimal", 0)
@@ -456,8 +458,8 @@ _new_var = st.tuples(
     new_rows=st.lists(_row, min_size=1, max_size=2),
 )
 def test_variables_added_after_a_solve_match_rebuilt_solves(sense, variables, rows, new_vars, new_rows):
-    # new rows name old and new variables alike; a new nonzero lower bound
-    # rebuilds the tableau, anything else resumes from the last basis
+    # new rows name old and new variables alike; whatever the new variables'
+    # bounds, the solve resumes from the last basis
     lp = LinearProgram(sense)
     for obj, lo, span in variables:
         lp.add_variable(objective=obj, lo=lo, hi=lo + span)
@@ -472,7 +474,7 @@ def test_variables_added_after_a_solve_match_rebuilt_solves(sense, variables, ro
         lp.add_row({(v + len(variables)) % lp.n_vars: c for v, c in coeffs.items()}, rel, rhs)
     warm = solve(lp)
     if warm.optimal:
-        assert (lp._tableau is tableau) == all(lo == 0 for _, lo, _ in new_vars)
+        assert lp._tableau is tableau
     _check_against_cold_and_oracle(lp, warm)
 
 
@@ -544,7 +546,9 @@ def test_warm_rows_on_fractional_bounds_match_cold_solves_and_the_vertex_oracle(
 
 def test_warm_solve_keeps_no_dead_artificial_column():
     # every violated >= row brings an artificial; once phase 1 or a pivot has
-    # fixed it nonbasic its column is gone, and only basic ones may stay
+    # fixed it nonbasic its column is gone, and only basic ones may stay.
+    # Each row is (tab[i] | rhs[i]) / tab[i][basis[i]] in lowest terms, so
+    # its basic entry is its positive denominator.
     rng = random.Random(20261020)
     violated = 0
     for _ in range(80):
@@ -562,7 +566,12 @@ def test_warm_solve_keeps_no_dead_artificial_column():
             continue
         tab = lp._tableau
         witnesses = {col for col, _ in tab.witness}
-        extra = [j for j in range(lp.n_vars, tab.ncols) if j not in witnesses]
+        extra = [j for j in range(lp.n_vars, len(tab.status)) if j not in witnesses]
         assert all(tab.status[j] == BASIC for j in extra)
-        assert tab.ncols == lp.n_vars + lp.n_rows + len(extra)
+        assert len(tab.status) == lp.n_vars + lp.n_rows + len(extra)
+        for row, rhs, b in zip(tab.tab, tab.rhs, tab.basis):
+            assert row[b] > 0
+            assert math.gcd(rhs, *row) == 1
+            if b < tab.nstruct:
+                assert Fraction(rhs, row[b]) + lp.lo[b] == warm.x[b]
     assert violated >= 30, violated
