@@ -183,9 +183,7 @@ def _cmd_compare(args) -> int:
 def _cmd_batch(args) -> int:
     config = _load_json(args.config)
     out_dir = _resolve_out(args.out_dir)
-    summary = run_batch(
-        config, out_dir, workers=args.workers, timings=args.timings
-    )
+    summary = run_batch(config, out_dir, timings=args.timings)
     sys.stdout.write(dumps_canonical(summary))
     errors = sum(entry["errors"] for entry in summary["solvers"].values())
     if summary.get("acceptance") == "FAIL":
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="run a generator x solver sweep from a config file")
     p.add_argument("config")
     p.add_argument("--out-dir", default="batch-results")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--seed", default="0",
                    help="accepted and ignored; the config file's seed governs the sweep")

@@ -1,5 +1,6 @@
 """Experiment harness: run solvers on instances, emit CSV rows, summarize,
-and sweep generated corpora in reproducible batches.
+and sweep generated corpora in reproducible batches, one instance after another
+on the calling thread (cells are CPU-bound Python: threads only add GIL waits).
 
 Seeding discipline: `compare` runs solver `name` with the seed
 `f"{seed}:{name}"` and records that seed in its row, so the row's seed
@@ -19,7 +20,7 @@ import statistics
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -102,10 +103,7 @@ class RunRow:
 
 
 def _fmt(q) -> str:
-    if q is None:
-        return ""
-    out = format_rational(Fraction(q))
-    return str(out)
+    return "" if q is None else str(format_rational(q))
 
 
 # The one table of how each solver name is called, used by compare, batch and
@@ -331,19 +329,27 @@ def run_batch(
     timings: bool = False,
 ) -> dict:
     """Run the full generator x solver matrix described by a config object:
-    one `compare` call per generated instance, with the instance's seed.
+    one `compare` call per generated instance, with the instance's seed, in
+    order on the calling thread.
 
     Writes instances/, results.csv, and summary.json under out_dir and
     returns the summary.  Cell failures are isolated: a solver error shows
     up as an error row (and in the summary's error counts), never as a
     crashed batch.
+
+    `workers` is deprecated and ignored: its thread pool lost to serial runs
+    under the GIL.  It stays only while `bench/workloads.py` passes
+    `workers=2`; a later benchmark change drops that argument, then this one.
     """
+    if workers is not None:
+        msg = "run_batch(workers=...) is ignored: cells run on the calling thread"
+        warnings.warn(msg, DeprecationWarning, stacklevel=2)
     cfg, gen_specs = _parse_batch_config(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     instance_dir = out_dir / "instances"
-    instances = []  # (name, instance, inst_seed)
+    rows = []
     for gi, (label, (spec, count)) in enumerate(gen_specs.items()):
         for k in range(count):
             inst_seed = f"{cfg.seed}:g{gi}:i{k}"
@@ -354,27 +360,16 @@ def run_batch(
                 (instance_dir / f"{name}.json").write_text(
                     dumps_canonical(instance_to_json(instance))
                 )
-                instances.append((name, instance, inst_seed))
-
-    def run_instance(item):
-        name, instance, inst_seed = item
-        return compare(
-            instance,
-            cfg.solvers,
-            label=name,
-            seed=inst_seed,
-            lam=cfg.lam,
-            minr_params=cfg.minr,
-            oracle_limits=cfg.oracle,
-            timings=timings,
-        )
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(run_instance, instances))
-    else:
-        groups = [run_instance(item) for item in instances]
-    rows = [row for group in groups for row in group]
+                rows += compare(
+                    instance,
+                    cfg.solvers,
+                    label=name,
+                    seed=inst_seed,
+                    lam=cfg.lam,
+                    minr_params=cfg.minr,
+                    oracle_limits=cfg.oracle,
+                    timings=timings,
+                )
 
     csv_text = rows_to_csv(rows, timings=timings)
     (out_dir / "results.csv").write_text(csv_text)

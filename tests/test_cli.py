@@ -243,6 +243,15 @@ def test_batch_command(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "sweep" / "summary.json").exists()
 
 
+def test_batch_has_no_workers_option(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", str(cfg), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_batch_malformed_config_is_a_clean_error(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seed": 0, "oracle": True, "solvers": []}))

@@ -2,6 +2,7 @@
 summaries, and reproducible batch sweeps."""
 
 import json
+import threading
 from fractions import Fraction
 
 import pytest
@@ -181,19 +182,30 @@ def test_batch_writes_artifacts_and_summary(tmp_path):
     assert summary["solvers"]["laminar"]["runs"] == 3
 
 
-def test_batch_deterministic_and_pool_size_independent(tmp_path):
+def test_batch_reruns_are_byte_identical(tmp_path):
     seeded = dict(BATCH_CONFIG, solvers=["laminar", "minr"])
     for k, config in enumerate((BATCH_CONFIG, seeded)):
-        run_batch(config, tmp_path / f"a{k}", workers=1)
-        run_batch(config, tmp_path / f"b{k}", workers=4)
+        run_batch(config, tmp_path / f"a{k}")
+        with pytest.warns(DeprecationWarning):  # workers is ignored
+            run_batch(config, tmp_path / f"b{k}", workers=4)
         for name in ("results.csv", "summary.json"):
             a = (tmp_path / f"a{k}" / name).read_bytes()
             assert a == (tmp_path / f"b{k}" / name).read_bytes()
 
 
+def test_batch_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    with pytest.warns(DeprecationWarning):
+        summary = run_batch(BATCH_CONFIG, tmp_path / "out", workers=2)
+    assert summary["rows"] == 6
+
+
 def test_batch_runs_the_oracle_once_per_instance(tmp_path, monkeypatch):
     calls = counting_exact_maxt(monkeypatch)
-    run_batch(BATCH_CONFIG, tmp_path / "out", workers=2)
+    run_batch(BATCH_CONFIG, tmp_path / "out")
     assert len(calls) == 3  # three instances, two profit solvers each
 
 
