@@ -38,7 +38,7 @@ from .model import (
     parse_rational,
     validate,
 )
-from .oracle import LimitExceeded, OracleLimits, exact_maxt, exact_minr
+from .oracle import OracleLimits, exact_maxt, exact_minr
 
 ENV_OUT = "SLOTSCHED_OUT"
 
@@ -135,19 +135,15 @@ def _cmd_solve_minr(args) -> int:
 def _cmd_oracle(args) -> int:
     instance = load_instance(args.instance)
     limits = _from_options(OracleLimits, args)
-    try:
-        if args.problem == "maxt":
-            weight, ids = exact_maxt(instance, limits=limits)
-            payload = {
-                "problem": "maxt",
-                "optimum": format_rational(weight),
-                "selected": list(ids),
-            }
-        else:
-            payload = {"problem": "minr", "optimum": exact_minr(instance, limits=limits)}
-    except LimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.problem == "maxt":
+        weight, ids = exact_maxt(instance, limits=limits)
+        payload = {
+            "problem": "maxt",
+            "optimum": format_rational(weight),
+            "selected": list(ids),
+        }
+    else:
+        payload = {"problem": "minr", "optimum": exact_minr(instance, limits=limits)}
     _emit(dumps_canonical(payload), args.out)
     return 0
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .laminar import build_tree
 from .model import Instance, Job, dataclass_from_json
 
-__all__ = ["GenSpec", "generate", "generate_many", "spec_from_json"]
+__all__ = ["GenSpec", "generate", "spec_from_json"]
 
 # heights are drawn on a grid of this many steps between the demand bounds,
 # keeping denominators small enough for exact arithmetic to stay cheap
@@ -130,14 +130,3 @@ def generate(spec: GenSpec) -> Instance:
             )
         )
     return Instance(hosts=spec.hosts, dim=spec.dim, jobs=jobs)
-
-
-def generate_many(spec: GenSpec, count: int) -> list[Instance]:
-    """`count` instances from consecutive derived seeds (spec.seed:0, :1, ...).
-
-    The derivation is positional, so extending the count re-produces the
-    existing instances unchanged.
-    """
-    return [
-        generate(replace(spec, seed=f"{spec.seed}:{i}")) for i in range(count)
-    ]

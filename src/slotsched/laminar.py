@@ -116,20 +116,6 @@ class LaminarMapping:
     by_job: dict[int, tuple[TimeWindow, TimeWindow]]
     untransformable: tuple[int, ...]
 
-    def aggregate_span(self, node: TimeWindow) -> TimeWindow | None:
-        """Union of all original windows mapped onto `node`.
-
-        Every such window contains `node`, so the union is the single
-        interval [min start, max end]; None when nothing maps there.
-        """
-        starts = [
-            orig.start for orig, mapped in self.by_job.values() if mapped == node
-        ]
-        ends = [orig.end for orig, mapped in self.by_job.values() if mapped == node]
-        if not starts:
-            return None
-        return TimeWindow(min(starts), max(ends))
-
 
 def transform_instance(instance: Instance) -> tuple[Instance, LaminarMapping]:
     """Shrink every job's window to its mapped tree interval.

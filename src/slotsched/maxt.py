@@ -24,12 +24,14 @@ The laminar pipeline is relaxation -> rounding -> greedy packing:
 
 A solve_maxt_laminar call keeps its loops on ints.  It builds the window
 forest once (the build is also its laminarity check) and hands it to the
-relaxation.  The rounding tests values on their numerators and denominators
-and does Fraction arithmetic only on the few fractional jobs.  Bins keep int
-loads over one scale and, per host, int bitmasks of the slots holding its
-gray bins and its first white bins.  The profit is one sum of numerators over
-a common denominator.  The height-class pipeline computes its class
-thresholds once per call and searches subsets on the weights scaled to ints.
+relaxation, which reads omega and the heights as ints over one scale
+(`model.as_ints`).  The rounding tests values on their numerators and
+denominators and does Fraction arithmetic only on the few fractional jobs.
+Bins keep int loads over one scale, widened one height at a time, and, per
+host, int bitmasks of the slots holding its gray bins and its first white
+bins.  The profit is one sum of the weights as ints over one scale.  The
+height-class pipeline computes its class thresholds once per call and
+searches subsets on the weights as ints.
 
 Arbitrary instances are laminarized first (windows shrink by at most 4x, so
 lambda inflates to 4*lambda), and separate pipelines cover high jobs
@@ -52,6 +54,7 @@ from slotsched.model import (
     Job,
     Schedule,
     area,
+    as_ints,
     format_rational,
     schedule_to_json,
     slackness,
@@ -131,13 +134,10 @@ def solve_relaxation(
     parent = window_forest(job.window for job in instance.jobs) if forest is None else forest
     if parent is None:
         raise ValueError("job windows are not laminar; transform the instance first")
-    # zero weights stay at 0; heights are read once per job
-    live = [(job, job.height) for job in instance.jobs if job.weight != 0]
-    # capacities and areas as ints over one scale, the lcm of their denominators;
-    # lists, never generators, are unpacked into calls here: CPython resizes a
-    # tuple built from a generator, and resized tuples pile up in its free list
-    scale = lcm(omega.denominator, *[h.denominator for _, h in live])
-    cap = omega.numerator * (scale // omega.denominator) * instance.hosts
+    # zero weights stay at 0; capacities and areas are ints over one scale
+    live = [job for job in instance.jobs if job.weight != 0]
+    (cap, *heights), _ = as_ints([omega] + [job.height for job in live])
+    cap *= instance.hosts
     residual: list[int] = []
     above: dict = {}  # window -> indices of itself and its ancestors in residual
     for node, up in parent.items():  # preorder: a parent's entry comes first
@@ -145,8 +145,8 @@ def solve_relaxation(
         residual.append(cap * node.size)
     # densities weight/area as ints over one common denominator `unit`
     scaled = []
-    for job, h in live:
-        a = job.length * h.numerator * (scale // h.denominator)
+    for job, h in zip(live, heights):
+        a = job.length * h
         scaled.append((job, a, job.weight.denominator * a))
     unit = lcm(*[qa for _, _, qa in scaled])
     ranked = sorted(
@@ -482,12 +482,11 @@ class MaxTResult:
 
 
 def _profit(instance: Instance, ids: Iterable[int]) -> Fraction:
-    """Total weight of `ids`: numerators summed over the lcm of the weights'
-    denominators, one Fraction built."""
+    """Total weight of `ids`: the weights summed as ints over one scale, one
+    Fraction built."""
     jm = instance.job_map()
-    weights = [jm[j].weight for j in ids]
-    scale = lcm(*[w.denominator for w in weights])
-    return Fraction(sum(w.numerator * (scale // w.denominator) for w in weights), scale)
+    weights, scale = as_ints([jm[j].weight for j in ids])
+    return Fraction(sum(weights), scale)
 
 
 def _empty_result(path: str, omega: Fraction | None = None) -> MaxTResult:
@@ -584,11 +583,8 @@ def single_host_throughput(
     the weights as ints over the lcm of their denominators.
     """
     horizon = max((j.due for j in jobs), default=0)
-    scale = lcm(*[j.weight.denominator for j in jobs])
-    order = sorted(
-        ((j.weight.numerator * (scale // j.weight.denominator), j) for j in jobs),
-        key=lambda wj: (-wj[0], wj[1].id),
-    )
+    weights, scale = as_ints([j.weight for j in jobs])
+    order = sorted(zip(weights, jobs), key=lambda wj: (-wj[0], wj[1].id))
 
     def extend(state, i):
         sel = state[0] + (order[i][1],)

@@ -48,6 +48,7 @@ from slotsched.model import (
     Job,
     Schedule,
     TimeWindow,
+    as_ints,
     format_rational,
     schedule_to_json,
     slackness,
@@ -101,12 +102,11 @@ def price_column(
 
     `maxt.best_subset` over the items by falling profit (ties by id); items
     with nonpositive profit never help and are dropped up front.  The search
-    runs on ints: profits over the lcm of their denominators, demands over
-    the lcm of those jobs' demand denominators, against a room of that lcm
-    per dimension.  Returns (value, job set), (0, empty) when nothing
-    profitable fits.
+    runs on ints (`as_ints`): the profits over one scale, and the demands of
+    those jobs over another, the room per dimension.  Returns (value, job
+    set), (0, empty) when nothing profitable fits.
     """
-    items = []
+    profits, ids, demands = [], [], []
     for job in instance.jobs:
         if not job.window.contains_slot(slot):
             continue
@@ -115,21 +115,16 @@ def price_column(
         if cut is not None:
             profit -= cut
         if profit.numerator > 0:  # profit > 0: denominators are positive
-            items.append((profit, job.id, job.demand))
-    if not items:
+            profits.append(profit)
+            ids.append(job.id)
+            demands += job.demand
+    if not ids:
         return Fraction(0), frozenset()
-    # Lists, not generators, feed the lcms: CPython gathers *args from a
-    # generator in a tuple it resizes, and those freed tuples fill the tuple
-    # free lists of sizes that nothing else draws from (with generators the
-    # benchmark's peak RSS grew by 0.6 MB).
-    scale = math.lcm(*[profit.denominator for profit, _, _ in items])
-    room = math.lcm(*[q.denominator for _, _, demand in items for q in demand])
-    items = [
-        (profit.numerator * (scale // profit.denominator), jid,
-         tuple(q.numerator * (room // q.denominator) for q in demand))
-        for profit, jid, demand in items
-    ]
-    items.sort(key=lambda it: (-it[0], it[1]))
+    profits, scale = as_ints(profits)
+    demands, room = as_ints(demands)
+    d = instance.dim
+    needs = [tuple(demands[k : k + d]) for k in range(0, len(demands), d)]
+    items = sorted(zip(profits, ids, needs), key=lambda it: (-it[0], it[1]))
 
     def extend(state, i):
         ids, free = state
@@ -232,16 +227,14 @@ def solve_config_lp(instance: Instance) -> ConfigLpResult:
         sol = lp_solve(lp)
         if not sol.optimal:
             raise AssertionError(f"configuration master came back {sol.status}")
-        # activity as ints over scale, the lcm of m's and the positive x's
-        # denominators
-        m = sol.x[m_var]
-        active = [(c, x) for c, x in zip(configs, sol.x[1:]) if x]
-        scale = math.lcm(m.denominator, *[x.denominator for _, x in active])
+        # activity as ints over one scale: m is variable 0, then the columns
+        (m_scaled, *ks), scale = as_ints(sol.x)
         per_slot: dict[int, int] = {}
         per_pair: dict[tuple[int, int], int] = {}
         per_job = dict.fromkeys(job_row, 0)
-        for c, x in active:
-            k = x.numerator * (scale // x.denominator)
+        for c, k in zip(configs, ks):
+            if not k:
+                continue
             per_slot[c.slot] = per_slot.get(c.slot, 0) + k
             for jid in c.jobs:
                 per_pair[(jid, c.slot)] = per_pair.get((jid, c.slot), 0) + k
@@ -251,7 +244,6 @@ def solve_config_lp(instance: Instance) -> ConfigLpResult:
             for pair in violated:
                 pair_row[pair] = lp.add_row({var: -1 for var in covers[pair]}, ">=", -1)
             continue
-        m_scaled = m.numerator * (scale // m.denominator)
         worst = max([
             0,
             *(total - m_scaled for total in per_slot.values()),
@@ -309,18 +301,17 @@ def sample_configurations(
     the first prefix sum P with k * M < P * 2^53: an exact integer bisection.
     """
     m_star = lpsol.m_star
-    scale = math.lcm(m_star.denominator, *[x.denominator for _, x in lpsol.columns])
-    total = m_star.numerator * (scale // m_star.denominator)
-    by_slot: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
-    for c, x in lpsol.columns:
-        by_slot.setdefault(c.slot, []).append((tuple(sorted(c.jobs)), x))
+    (total, *masses), scale = as_ints([m_star] + [x for _, x in lpsol.columns])
+    by_slot: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for (c, _), k in zip(lpsol.columns, masses):
+        by_slot.setdefault(c.slot, []).append((tuple(sorted(c.jobs)), k))
     out: dict[int, list[frozenset[int]]] = {}
     for t in lpsol.slots:
         cols = sorted(by_slot.get(t, []))
         ends: list[int] = []
         mass = 0
-        for _, x in cols:
-            mass += x.numerator * (scale // x.denominator)
+        for _, k in cols:
+            mass += k
             ends.append(mass << 53)
         if mass > total:
             raise ValueError(
@@ -432,7 +423,7 @@ def schedule_residual(
     bins = SlotBins(hosts, tree.horizon)
     placements: dict[int, set[tuple[int, int]]] = {}
     for r in ordered:
-        avail = residual_avail(r, tree)
+        avail = [t for t in mapped[r.job_id].slots() if t not in r.forb]
         if len(avail) < r.units:
             raise ScheduleError(
                 r.job_id, f"mapped window offers {len(avail)} slots for {r.units} units"
@@ -628,14 +619,12 @@ def residual_area_report(
             }
         )
     threshold = window_condition_threshold(horizon, instance.dim, m_int, params)
-    # Areas are ints over the lcm of the heights, so an interval of `size`
+    # Areas are ints over the heights' scale hscale, so an interval of `size`
     # slots holding area inside / hscale violates its bound omega * m_int *
     # size exactly when inside * den > per_slot * size.
-    hscale = math.lcm(*[r.height.denominator for r in residuals])
+    heights, hscale = as_ints([r.height for r in residuals])
     areas = [
-        (r.window.start, r.window.end,
-         r.units * r.height.numerator * (hscale // r.height.denominator))
-        for r in residuals
+        (r.window.start, r.window.end, r.units * h) for r, h in zip(residuals, heights)
     ]
     den = omega.denominator
     per_slot = omega.numerator * m_int * hscale

@@ -12,6 +12,8 @@ pivot is integer multiply-subtract on the rows that have a nonzero in the
 entering column, followed by one gcd per such row; the other rows are not
 touched.  A nonbasic variable moving between its bounds adds a multiple of
 its column to those values in the same way.  Bound spans are int pairs.
+A program stores the ints or Fractions it is given; each column and row
+becomes ints once, through `model.as_ints`, as the tableau takes it in.
 Costs are `fractions.Fraction`s, as is everything the public API returns.
 The package needs nothing outside the standard library.
 
@@ -42,6 +44,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+from slotsched.model import as_ints
+
 _q = Fraction  # rational type of costs and results; bench/run.py reports it
 _ZERO = Fraction(0)
 _NO_SPAN = (0, 1)  # the bound span of a fixed variable, as ubound holds it
@@ -70,17 +74,18 @@ class LpSolution:
 
 class LinearProgram:
     """Mutable LP builder: variables with [lo, hi] bounds (hi=None for +inf),
-    rows with <=, >= or == relations.  All data exact rationals."""
+    rows with <=, >= or == relations.  All data are ints or Fractions, stored
+    as given; the tableau turns them into ints."""
 
     def __init__(self, sense: str = "max"):
         if sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
         self.sense = sense
-        self.obj: list[Fraction] = []
-        self.lo: list[Fraction] = []
-        self.hi: list[Fraction | None] = []
-        # rows: (coeffs dict var->Fraction, rel, rhs)
-        self.rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
+        self.obj: list[int | Fraction] = []
+        self.lo: list[int | Fraction] = []
+        self.hi: list[int | Fraction | None] = []
+        # rows: (coeffs dict var->coeff, rel, rhs)
+        self.rows: list[tuple[dict[int, int | Fraction], str, int | Fraction]] = []
         self._tableau: "_Tableau | None" = None
 
     @property
@@ -92,26 +97,23 @@ class LinearProgram:
         return len(self.rows)
 
     def add_variable(self, objective=0, lo=0, hi=None) -> int:
-        lo = Fraction(lo)
-        if hi is not None:
-            hi = Fraction(hi)
-            if hi < lo:
-                raise ValueError(f"empty bound interval [{lo}, {hi}]")
-        self.obj.append(Fraction(objective))
+        if hi is not None and hi < lo:
+            raise ValueError(f"empty bound interval [{lo}, {hi}]")
+        self.obj.append(objective)
         self.lo.append(lo)
         self.hi.append(hi)
         return len(self.obj) - 1
 
-    def add_row(self, coeffs: dict[int, Fraction], rel: str, rhs) -> int:
+    def add_row(self, coeffs: dict[int, int | Fraction], rel: str, rhs) -> int:
         if rel not in _REL:
             raise ValueError(f"relation must be one of {_REL}, got {rel!r}")
         for var in coeffs:
             if not 0 <= var < self.n_vars:
                 raise ValueError(f"row references unknown variable {var}")
-        self.rows.append(({v: Fraction(c) for v, c in coeffs.items()}, rel, Fraction(rhs)))
+        self.rows.append((dict(coeffs), rel, rhs))
         return len(self.rows) - 1
 
-    def add_column(self, objective, entries: dict[int, Fraction], hi=None) -> int:
+    def add_column(self, objective, entries: dict[int, int | Fraction], hi=None) -> int:
         """Append a variable with bounds [0, hi] given its column: entries map
         row index -> coeff.  Entries may name rows added since the last solve."""
         for row in entries:
@@ -119,7 +121,7 @@ class LinearProgram:
                 raise ValueError(f"column references unknown row {row}")
         var = self.add_variable(objective, hi=hi)
         for row, coeff in entries.items():
-            self.rows[row][0][var] = Fraction(coeff)
+            self.rows[row][0][var] = coeff
         return var
 
 
@@ -259,13 +261,13 @@ class _Tableau:
 
     def _reset_zrow(self, costs: list[Fraction]) -> None:
         """z_j = sum_i c_B(i) * tab[i][j] / tab[i][basis[i]] - c_j over one
-        common denominator: the lcm of the costs' and the weights'
-        denominators."""
-        weights = [(i, costs[b] / self.tab[i][b]) for i, b in enumerate(self.basis) if costs[b]]
-        zden = math.lcm(*[c.denominator for c in costs], *[w.denominator for _, w in weights])
-        zrow = [-c.numerator * (zden // c.denominator) for c in costs]
-        for i, w in weights:
-            k = w.numerator * (zden // w.denominator)
+        common denominator, that of the costs and the row weights c_B(i) /
+        tab[i][basis[i]]."""
+        rows = [(i, b) for i, b in enumerate(self.basis) if costs[b]]
+        n = len(costs)
+        ints, zden = as_ints(costs + [costs[b] / self.tab[i][b] for i, b in rows])
+        zrow = [-c for c in ints[:n]]
+        for (i, _), k in zip(rows, ints[n:]):
             zrow = [z + k * a for z, a in zip(zrow, self.tab[i])]
         self.zrow, _, self.zden = _lowest_terms(zrow, 0, zden)
 
@@ -429,14 +431,14 @@ class _Tableau:
         lo, hi = lp.lo[var], lp.hi[var]
         # B^-1 e_i is embedded in row i's witness column, so the new column
         # is sum_i c_i * ws_i * (witness column of row i), with the c_i scaled
-        # to integers k_i by the lcm of their denominators
-        terms: list[tuple[int, Fraction]] = []
+        # to integers k_i over one scale
+        terms: list[tuple[int, int | Fraction]] = []
         for i, (wcol, ws) in enumerate(self.witness):  # rows still pending read the column when absorbed
             c = lp.rows[i][0].get(var)
             if c:
                 terms.append((wcol, c if ws > 0 else -c))
-        scale = math.lcm(*[c.denominator for _, c in terms])
-        ints = [(wcol, c.numerator * (scale // c.denominator)) for wcol, c in terms]
+        ks, scale = as_ints([c for _, c in terms])
+        ints = [(wcol, k) for (wcol, _), k in zip(terms, ks)]
         tab, rhs = self.tab, self.rhs
         for r, row in enumerate(tab):
             num = 0
@@ -453,7 +455,7 @@ class _Tableau:
             row.insert(var, num)
         ub = None if hi is None else (hi - lo).as_integer_ratio()
         self.ubound.insert(var, ub)
-        cost = lp.obj[var]
+        cost = Fraction(lp.obj[var])  # _reset_zrow divides costs by ints
         self.cost.insert(var, cost if self.sign == 1 else -cost)
         self.status.insert(var, FIXED if ub == _NO_SPAN else LOWER)
         self.nstruct += 1
@@ -479,11 +481,10 @@ class _Tableau:
         status, ubound = self.status, self.ubound
         rest = b - sum((c * lp.lo[v] for v, c in coeffs.items() if lp.lo[v]), _ZERO)
         rest -= sum((c * Fraction(*ubound[v]) for v, c in coeffs.items() if status[v] == UPPER), _ZERO)
-        den = math.lcm(rest.denominator, *[c.denominator for c in coeffs.values()])
+        (rhs, *ints), den = as_ints([rest, *coeffs.values()])
         row = [0] * len(status)
-        for v, c in coeffs.items():
-            row[v] = c.numerator * (den // c.denominator)
-        rhs = rest.numerator * (den // rest.denominator)
+        for v, a in zip(coeffs, ints):
+            row[v] = a
         for k, col in enumerate(self.basis):
             if row[col]:
                 nonzeros = [(j, a) for j, a in enumerate(self.tab[k]) if a]

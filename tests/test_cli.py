@@ -162,9 +162,11 @@ def test_oracle_both_problems(tmp_path, capsys):
 
 def test_oracle_limit_exceeded(tmp_path, capsys):
     inst_path = gen_instance(tmp_path, capsys, jobs="8", horizon="16")
-    code, _, err = run(capsys, "oracle", str(inst_path))
+    code, out, err = run(capsys, "oracle", str(inst_path))
     assert code == 1
+    assert err.startswith("error: ")
     assert "limit" in err
+    assert out == ""
 
 
 def test_validate_command(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from slotsched.generator import GenSpec, generate, generate_many, spec_from_json
+from slotsched.generator import GenSpec, generate, spec_from_json
 from slotsched.laminar import build_tree, window_forest
 from slotsched.model import area, dumps_canonical, instance_to_json
 
@@ -103,11 +103,3 @@ def test_spec_from_json_reads_a_union_by_its_first_fitting_member():
     for bad in (2.5, True, None):
         with pytest.raises(ValueError, match="'seed' must be an integer or a string"):
             spec_from_json({**base, "seed": bad})
-
-
-def test_generate_many_prefix_stable():
-    spec = GenSpec(jobs=5, hosts=2, horizon=8, seed="base")
-    three = [canon(i) for i in generate_many(spec, 3)]
-    five = [canon(i) for i in generate_many(spec, 5)]
-    assert five[:3] == three
-    assert len(set(five)) == 5

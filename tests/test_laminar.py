@@ -199,7 +199,6 @@ def test_transform_empty_instance():
     trans, mapping = transform_instance(inst)
     assert trans == inst
     assert mapping.by_job == {} and mapping.untransformable == ()
-    assert mapping.aggregate_span(W(1, 1)) is None
 
 
 def test_map_window_total_and_bounded():
@@ -213,9 +212,8 @@ def test_map_window_total_and_bounded():
                 assert b - a + 1 <= 4 * mapped.size
 
 
-def test_aggregate_span_bound():
-    # windows [1,8] and [2,7] on T=8 both map rightward; the union of the
-    # windows mapped onto [5,6] spans [2,7], within 4x of the node size
+def test_transform_maps_each_window_onto_its_tree_interval():
+    # on T=8, [1,8] is a tree node and stays; [2,7] maps rightward onto [5,6]
     jobs = (
         Job(id=1, release=1, due=8, length=1, demand=(Fraction(1, 2),), weight=Fraction(1)),
         Job(id=2, release=2, due=7, length=1, demand=(Fraction(1, 2),), weight=Fraction(1)),
@@ -224,9 +222,6 @@ def test_aggregate_span_bound():
     _, mapping = transform_instance(inst)
     assert mapping.by_job[1] == (W(1, 8), W(1, 8))
     assert mapping.by_job[2] == (W(2, 7), W(5, 6))
-    span = mapping.aggregate_span(W(5, 6))
-    assert span == W(2, 7)
-    assert span.size <= 4 * W(5, 6).size
 
 
 def test_transform_drops_overlong_jobs():

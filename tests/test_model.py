@@ -17,6 +17,7 @@ from slotsched.model import (
     Schedule,
     TimeWindow,
     area,
+    as_ints,
     density,
     dumps_canonical,
     format_rational,
@@ -49,6 +50,16 @@ def test_parse_rational_forms():
     for text in ("1/0", "abc", "1/x", "", "/"):
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational(text)
+
+
+def test_as_ints():
+    assert as_ints([]) == ([], 1)
+    assert as_ints([3, -2, 0]) == ([3, -2, 0], 1)
+    qs = [Fraction(1, 6), 2, Fraction(-3, 4), 0, Fraction(5, 9), -7]
+    ints, scale = as_ints(qs)
+    assert scale == 36  # lcm(6, 4, 9)
+    assert len(ints) == len(qs)
+    assert all(type(n) is int and Fraction(n, scale) == q for n, q in zip(ints, qs))
 
 
 def test_format_rational_round_trip():

@@ -2,9 +2,9 @@
 cross-checks against vertex enumeration, warm-started column adds with
 fractional data (property-tested), warm-started row adds (property-tested on
 fractional bounds, with every bound move that rewrites a row's rhs),
-variables added after a solve, dropped artificial columns, and a digest that
-pins the pivot path.  A warm solve's cold reference is the same program
-rebuilt from scratch."""
+variables added after a solve, dropped artificial columns, programs built
+from ints, and a digest that pins the pivot path.  A warm solve's cold
+reference is the same program rebuilt from scratch."""
 
 from __future__ import annotations
 
@@ -136,6 +136,41 @@ def test_add_column_improves_and_matches_cold_solve():
     cold = solve(rebuilt(lp))
     assert cold.objective == warm.objective
     assert cold.x == warm.x
+
+
+def _program_from(q) -> LinearProgram:
+    """A program whose every number passes through q; its optimum has x
+    basic at 9/5, over a row entry other than +-1."""
+    lp = LinearProgram("max")
+    x = lp.add_variable(objective=q(3), lo=q(0), hi=q(10))
+    y = lp.add_variable(objective=q(2), lo=q(1), hi=q(10))
+    lp.add_row({x: q(2), y: q(3)}, "<=", q(12))
+    lp.add_row({x: q(4), y: q(1)}, "<=", q(10))
+    lp.add_column(q(1), {0: q(3), 1: q(5)}, hi=q(1))
+    return lp
+
+
+def test_program_keeps_ints_and_solves_to_fractions():
+    lp, ref = _program_from(int), _program_from(Fraction)
+    numbers = [*lp.obj, *lp.lo, *lp.hi]
+    for coeffs, _, rhs in lp.rows:
+        numbers += [*coeffs.values(), rhs]
+    assert all(type(v) is int for v in numbers)
+
+    def check(sol):
+        assert sol.optimal and sol == solve(ref)
+        assert all(type(v) is Fraction for v in [*sol.x, *sol.duals, sol.objective])
+
+    sol = solve(lp)
+    assert sol.x[0] == Fraction(9, 5)
+    check(sol)
+    # a warm re-solve of both programs after one more column, which enters
+    for program, q in ((lp, int), (ref, Fraction)):
+        program.add_column(q(7), {0: q(1), 1: q(2)}, hi=q(2))
+    sol = solve(lp)
+    assert sol.x[3] == 2
+    check(sol)
+    assert type(lp.obj[3]) is int and type(lp.rows[1][0][3]) is int
 
 
 def test_solved_program_freed_by_reference_count():
