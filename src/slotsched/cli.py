@@ -39,6 +39,7 @@ from .model import (
     validate,
 )
 from .oracle import OracleLimits, exact_maxt, exact_minr
+from .simplex import CyclingLimitError
 
 ENV_OUT = "SLOTSCHED_OUT"
 
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, ScheduleError, MinRError) as exc:
+    except (ValueError, OSError, ScheduleError, MinRError, CyclingLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

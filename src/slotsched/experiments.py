@@ -21,7 +21,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,7 +243,8 @@ def load_rows(text: str) -> list[dict]:
 
 
 def summarize(rows: list[dict]) -> dict:
-    """Per-solver run counts and min/median ratios, from loaded rows."""
+    """Per-solver run counts and min/median ratios, from rows as dicts: loaded
+    ones, or `asdict` of `RunRow`s."""
     by_solver: dict[str, dict] = {}
     for row in rows:
         entry = by_solver.setdefault(
@@ -377,7 +378,7 @@ def run_batch(
     summary = {
         "seed": cfg.seed,
         "rows": len(rows),
-        "solvers": summarize(load_rows(csv_text)),
+        "solvers": summarize([asdict(row) for row in rows]),
     }
     if cfg.acceptance:
         summary["acceptance"] = _run_acceptance(cfg.acceptance, out_dir)

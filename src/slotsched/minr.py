@@ -590,6 +590,22 @@ class ResidualAreaReport:
         }
 
 
+def _pairs(a0: int, a1: int, b0: int, b1: int, lo: int, hi: int) -> int:
+    """How many a in [a0, a1] and b in [b0, b1] have lo <= b - a + 1 <= hi,
+    for lo >= 1: N(hi) - N(lo - 1), where N(x) sums clamp(a + x - b0, 0, w)
+    over a, for w = b1 - b0 + 1, in closed form."""
+    w = b1 - b0 + 1
+
+    def ramp(n: int) -> int:  # the sum of clamp(t, 0, w) over t <= n
+        n = max(n, 0)
+        return n * (n + 1) // 2 if n <= w else w * (w + 1) // 2 + (n - w) * w
+
+    def upto(x: int) -> int:  # the pairs of size at most x
+        return ramp(a1 + x - b0) - ramp(a0 - 1 + x - b0)
+
+    return upto(hi) - upto(lo - 1) if lo <= hi else 0
+
+
 def residual_area_report(
     instance: Instance,
     residuals: Sequence[ResidualJob],
@@ -597,28 +613,22 @@ def residual_area_report(
     params: MinRParams = MinRParams(),
 ) -> ResidualAreaReport:
     """Compare residual area against omega * m_int * |I| on every subinterval
-    I of the horizon (exhaustive for T <= 64, a seeded 2000-interval sample
-    beyond).  Also reported for the qualifying intervals at least as long as
-    the design threshold."""
+    I of the horizon, exactly at every horizon.  Also reported for the
+    qualifying intervals at least as long as the design threshold.
+
+    The area inside [a, b] changes only where a passes a residual's start or
+    b reaches a residual's end, so the intervals split into at most (k+1)^2
+    rectangles a0 <= a <= a1, b0 <= b <= b1 of constant area for k
+    residuals.  Each rectangle is counted in closed form (`_pairs`), and its
+    largest ratio is at its shortest interval, of size b0 - a1 + 1."""
     horizon = instance.horizon
     if params.omega is not None:
         omega = params.omega
     else:
         lam = slackness(instance)
         omega = (1 - 4 * lam) / 8
-    if horizon <= 64:
-        intervals = [
-            (a, b) for a in range(1, horizon + 1) for b in range(a, horizon + 1)
-        ]
-    else:
-        rng = random.Random(f"residual-area:{horizon}")
-        intervals = sorted(
-            {
-                tuple(sorted((rng.randint(1, horizon), rng.randint(1, horizon))))
-                for _ in range(2000)
-            }
-        )
     threshold = window_condition_threshold(horizon, instance.dim, m_int, params)
+    first = max(1, threshold)  # the least qualifying size
     # Areas are ints over the heights' scale hscale, so an interval of `size`
     # slots holding area inside / hscale violates its bound omega * m_int *
     # size exactly when inside * den > per_slot * size.
@@ -628,19 +638,23 @@ def residual_area_report(
     ]
     den = omega.denominator
     per_slot = omega.numerator * m_int * hscale
-    checked = violations = q_checked = q_violations = 0
+    # a's ranges end at each residual start, b's begin at each residual end
+    a_ends = sorted({start for start, _, _ in areas if start < horizon} | {horizon})
+    b_starts = sorted({end for _, end, _ in areas if end <= horizon} | {1})
+    violations = q_violations = 0
     worst_inside, worst_size = 0, 1  # the largest inside / size so far
-    for a, b in intervals:
-        size = b - a + 1
-        inside = sum(area for start, end, area in areas if a <= start and end <= b)
-        checked += 1
-        bad = inside * den > per_slot * size
-        violations += bad
-        if inside * worst_size > worst_inside * size:
-            worst_inside, worst_size = inside, size
-        if size >= threshold:
-            q_checked += 1
-            q_violations += bad
+    for a0, a1 in zip([1] + [s + 1 for s in a_ends[:-1]], a_ends):
+        for b0, b1 in zip(b_starts, [e - 1 for e in b_starts[1:]] + [horizon]):
+            inside = sum(area for start, end, area in areas if a1 <= start and end <= b0)
+            if per_slot > 0:  # the longest size that violates
+                longest = (inside * den - 1) // per_slot
+            else:
+                longest = horizon if per_slot < 0 or inside > 0 else 0
+            violations += _pairs(a0, a1, b0, b1, 1, longest)
+            q_violations += _pairs(a0, a1, b0, b1, first, longest)
+            size = max(1, b0 - a1 + 1)
+            if inside * worst_size > worst_inside * size:
+                worst_inside, worst_size = inside, size
     # One rounding at the end: float() is monotone, so this is the largest
     # float(inside / bound).  A ratio counts only where the bound is positive.
     worst = (
@@ -650,9 +664,9 @@ def residual_area_report(
     return ResidualAreaReport(
         omega=omega,
         hosts_bound=m_int,
-        checked=checked,
+        checked=_pairs(1, horizon, 1, horizon, 1, horizon),
         violations=violations,
-        qualifying_checked=q_checked,
+        qualifying_checked=_pairs(1, horizon, 1, horizon, first, horizon),
         qualifying_violations=q_violations,
         threshold=threshold,
         worst_ratio=worst,

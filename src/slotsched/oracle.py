@@ -54,15 +54,16 @@ def host_lower_bound(instance: Instance, jobs: Iterable[Job] | None = None) -> i
     """ceil of the densest per-dimension area over any slot interval.
 
     Necessary for feasibility: work inside an interval cannot exceed
-    m * |interval| in any dimension.
+    m * |interval| in any dimension.  Only intervals from a release to a due
+    date are tried: shrinking any interval to its inside jobs' first release
+    and last due keeps the same jobs and only makes it shorter.
     """
     jobs = list(instance.jobs if jobs is None else jobs)
     if not jobs:
         return 0
-    horizon = max(j.due for j in jobs)
     best = 1
-    for a in range(1, horizon + 1):
-        for b in range(a, horizon + 1):
+    for a in {j.release for j in jobs}:
+        for b in {j.due for j in jobs}:
             inside = [j for j in jobs if a <= j.release and j.due <= b]
             if not inside:
                 continue

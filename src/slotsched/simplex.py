@@ -72,10 +72,17 @@ class LpSolution:
         return self.status == "optimal"
 
 
+def _check_numbers(*values) -> None:
+    for v in values:
+        if type(v) is not int and not isinstance(v, Fraction):
+            raise ValueError(f"LP data must be ints or Fractions, got {v!r}")
+
+
 class LinearProgram:
     """Mutable LP builder: variables with [lo, hi] bounds (hi=None for +inf),
     rows with <=, >= or == relations.  All data are ints or Fractions, stored
-    as given; the tableau turns them into ints."""
+    as given; the tableau turns them into ints.  Any other value, a float or
+    a bool included, is refused with a ValueError."""
 
     def __init__(self, sense: str = "max"):
         if sense not in ("max", "min"):
@@ -97,6 +104,7 @@ class LinearProgram:
         return len(self.rows)
 
     def add_variable(self, objective=0, lo=0, hi=None) -> int:
+        _check_numbers(objective, lo, 0 if hi is None else hi)
         if hi is not None and hi < lo:
             raise ValueError(f"empty bound interval [{lo}, {hi}]")
         self.obj.append(objective)
@@ -110,6 +118,7 @@ class LinearProgram:
         for var in coeffs:
             if not 0 <= var < self.n_vars:
                 raise ValueError(f"row references unknown variable {var}")
+        _check_numbers(*coeffs.values(), rhs)
         self.rows.append((dict(coeffs), rel, rhs))
         return len(self.rows) - 1
 
@@ -119,6 +128,7 @@ class LinearProgram:
         for row in entries:
             if not 0 <= row < self.n_rows:
                 raise ValueError(f"column references unknown row {row}")
+        _check_numbers(*entries.values())
         var = self.add_variable(objective, hi=hi)
         for row, coeff in entries.items():
             self.rows[row][0][var] = coeff

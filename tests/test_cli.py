@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from slotsched import maxt, minr
+from slotsched import maxt, minr, simplex
 from slotsched.cli import main
 from slotsched.experiments import SOLVERS
 from slotsched.model import (
@@ -146,6 +146,16 @@ def test_solve_minr_partition(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["total_hosts"] >= 1
     assert payload["runs"]
+
+
+def test_pivot_limit_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    inst_path = gen_instance(tmp_path, capsys, jobs="3", horizon="8",
+                             **{"--slack": "1/4"})
+    monkeypatch.setattr(simplex, "_PIVOT_LIMIT", 0)
+    code, out, err = run(capsys, "solve-minr", str(inst_path))
+    assert code == 1
+    assert err.startswith("error: exceeded 0 pivots")
+    assert out == ""
 
 
 def test_oracle_both_problems(tmp_path, capsys):

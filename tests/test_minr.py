@@ -800,22 +800,32 @@ def test_residual_area_report_counts_containing_intervals():
     assert report.worst_ratio == 8.0  # interval [1,2]: 2 / (2/8)
 
 
+def test_residual_area_report_counts_every_interval_at_a_huge_horizon():
+    horizon = 10**8
+    instance = inst([mk(1, 1, horizon, 2, Fraction(1))])
+    r = ResidualJob(1, 2, Fraction(1), TimeWindow(1, 2), frozenset())
+    params = MinRParams(omega=Fraction(1, 8))
+    report = residual_area_report(instance, [r], 1, params)
+    theta = window_condition_threshold(horizon, 1, 1, params)
+    assert report.threshold == theta == 29
+    assert report.checked == horizon * (horizon + 1) // 2
+    assert report.qualifying_checked == (horizon - theta + 1) * (horizon - theta + 2) // 2
+    # area 2 against |I|/8: [1, b] violates for b = 2..15, where 2 > b/8
+    assert report.violations == 14
+    assert report.qualifying_violations == 0  # every such [1, b] is shorter than 29
+    assert report.worst_ratio == 8.0  # [1, 2]: 2 / (2/8)
+
+
 def _fraction_residual_area_report(instance, residuals, m_int, params=MinRParams()):
-    """The former residual_area_report, which summed Fraction areas and kept
-    a running max of float ratios; pins the integer report."""
+    """The former residual_area_report, which summed Fraction areas over
+    every interval and kept a running max of float ratios; pins the
+    closed-form report at every horizon."""
     horizon = instance.horizon
     if params.omega is not None:
         omega = params.omega
     else:
         omega = (1 - 4 * slackness(instance)) / 8
-    if horizon <= 64:
-        intervals = [(a, b) for a in range(1, horizon + 1) for b in range(a, horizon + 1)]
-    else:
-        rng = random.Random(f"residual-area:{horizon}")
-        intervals = sorted(
-            {tuple(sorted((rng.randint(1, horizon), rng.randint(1, horizon))))
-             for _ in range(2000)}
-        )
+    intervals = [(a, b) for a in range(1, horizon + 1) for b in range(a, horizon + 1)]
     threshold = window_condition_threshold(horizon, instance.dim, m_int, params)
     checked = violations = q_checked = q_violations = 0
     worst = 0.0
@@ -869,7 +879,7 @@ def test_integer_residual_area_report_matches_fraction_report():
             seen["empty"] += not residuals
             seen["negative_omega"] += got.omega < 0
             seen["violations"] += got.violations > 0
-            seen["long"] += horizon > 64
+            seen["long"] += instance.horizon > 64
             seen["ratio"] += got.worst_ratio > 0
     assert min(seen.values()) >= 10
 

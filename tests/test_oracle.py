@@ -98,6 +98,48 @@ def test_host_lower_bound():
     assert host_lower_bound(Instance(hosts=1, dim=1, jobs=())) == 0
 
 
+def _all_intervals_lower_bound(instance, jobs=None):
+    """The former host_lower_bound, which tried every interval of the horizon;
+    pins the release-to-due scan."""
+    jobs = list(instance.jobs if jobs is None else jobs)
+    if not jobs:
+        return 0
+    horizon = max(j.due for j in jobs)
+    best = 1
+    for a in range(1, horizon + 1):
+        for b in range(a, horizon + 1):
+            inside = [j for j in jobs if a <= j.release and j.due <= b]
+            if not inside:
+                continue
+            size = b - a + 1
+            for i in range(instance.dim):
+                work = sum((j.length * j.demand[i] for j in inside), Fraction(0))
+                need = -(-work.numerator // (work.denominator * size))  # ceil
+                best = max(best, int(need))
+    return best
+
+
+def test_host_lower_bound_matches_all_intervals_scan():
+    rng = random.Random("host-lower-bound:breakpoints")
+    above_one = 0
+    for _ in range(60):
+        horizon, dim = rng.randint(1, 40), rng.randint(1, 3)
+        jobs = []
+        for jid in range(1, rng.randint(1, 8) + 1):
+            r = rng.randint(1, horizon)
+            d = rng.randint(r, min(horizon, r + rng.choice([0, 3, 40])))
+            den = rng.choice([1, 3, 10])
+            demand = tuple(Fraction(rng.randint(1, den), den) for _ in range(dim))
+            jobs.append(Job(id=jid, release=r, due=d, length=rng.randint(1, d - r + 1),
+                            demand=demand, weight=Fraction(1)))
+        inst = Instance(hosts=1, dim=dim, jobs=tuple(jobs))
+        subset = rng.sample(jobs, rng.randint(0, len(jobs)))
+        assert host_lower_bound(inst) == _all_intervals_lower_bound(inst)
+        assert host_lower_bound(inst, subset) == _all_intervals_lower_bound(inst, subset)
+        above_one += host_lower_bound(inst) > 1
+    assert above_one >= 10
+
+
 def test_exact_maxt_picks_best_subset():
     # one host, one slot: the two light jobs (combined weight 5) beat the
     # single heavy one (weight 4)

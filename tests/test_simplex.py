@@ -12,6 +12,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -171,6 +172,29 @@ def test_program_keeps_ints_and_solves_to_fractions():
     assert sol.x[3] == 2
     check(sol)
     assert type(lp.obj[3]) is int and type(lp.rows[1][0][3]) is int
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
+def test_builders_refuse_values_that_are_not_ints_or_fractions(bad):
+    # each place a number goes gets the bad value in turn; the refused call
+    # leaves the program as it was
+    places = [
+        lambda lp: lp.add_variable(objective=bad),
+        lambda lp: lp.add_variable(lo=bad),
+        lambda lp: lp.add_variable(hi=bad),
+        lambda lp: lp.add_row({0: 1, 1: bad}, "<=", 1),
+        lambda lp: lp.add_row({0: 1}, "<=", bad),
+        lambda lp: lp.add_column(bad, {0: 1}),
+        lambda lp: lp.add_column(1, {0: 1, 1: bad}),
+        lambda lp: lp.add_column(1, {0: 1}, hi=bad),
+    ]
+    ref = _program_from(int)
+    for place in places:
+        lp = _program_from(int)
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            place(lp)
+        assert (lp.obj, lp.lo, lp.hi, lp.rows) == (ref.obj, ref.lo, ref.hi, ref.rows)
+        assert solve(lp) == solve(ref)
 
 
 def test_solved_program_freed_by_reference_count():
